@@ -1,5 +1,5 @@
 // Chaos-injection soak for the sharded analysis fleet (src/fleet over
-// src/service, faults injected by service/chaos.h proxies).
+// src/service, faults injected by bench/support/chaos.h proxies).
 //
 // Topology: two in-process shard daemons, each reached only through its own
 // deterministic fault-injecting ChaosProxy, with a FleetRouter over the two
@@ -45,7 +45,7 @@
 
 #include "fleet/router.h"
 #include "harness/bench_runner.h"
-#include "service/chaos.h"
+#include "support/chaos.h"
 #include "service/client.h"
 #include "service/json.h"
 #include "service/server.h"

@@ -1,4 +1,4 @@
-#include "service/chaos.h"
+#include "support/chaos.h"
 
 #include <sys/socket.h>
 #include <unistd.h>

@@ -83,7 +83,8 @@ std::string Cube::ToString(int num_vars) const {
     if (num_vars <= 26) {
       out.push_back(static_cast<char>('a' + v));
     } else {
-      out += "x" + std::to_string(v);
+      out += 'x';
+      out += std::to_string(v);
     }
     if (!VarPhase(v)) out.push_back('\'');
   }

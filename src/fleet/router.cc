@@ -38,7 +38,8 @@ FleetRouter::FleetRouter(RouterOptions options)
       ring_(options_.shards, options_.vnodes_per_shard),
       listen_parsed_(ParseServiceAddress(options_.listen_address)),
       drained_(options_.shards.size(), false),
-      unhealthy_(options_.shards.size(), false) {}
+      unhealthy_(options_.shards.size(), false),
+      restore_epoch_(options_.shards.size(), 0) {}
 
 FleetRouter::~FleetRouter() {
   Shutdown();
@@ -191,31 +192,40 @@ std::uint64_t FleetRouter::RoutingKey(const std::string& payload) {
   return key;
 }
 
-std::vector<bool> FleetRouter::ExcludedShards() const {
+std::vector<bool> FleetRouter::ExcludedShards(
+    const std::vector<std::uint64_t>& failed_in_epoch,
+    std::vector<std::uint64_t>* epochs) const {
   std::lock_guard<std::mutex> lock(shard_mutex_);
   std::vector<bool> excluded(drained_.size());
   for (std::size_t i = 0; i < drained_.size(); ++i) {
-    excluded[i] = drained_[i] || unhealthy_[i];
+    excluded[i] = drained_[i] || unhealthy_[i] ||
+                  failed_in_epoch[i] == restore_epoch_[i];
   }
+  *epochs = restore_epoch_;
   return excluded;
 }
 
 std::string FleetRouter::ForwardWithFailover(Connection& conn,
                                              std::uint64_t key,
                                              const std::string& payload) {
-  std::vector<bool> excluded = ExcludedShards();
-  for (;;) {
+  // Per shard, the restore epoch in which it failed this request; a shard
+  // never failed it compares unequal to every epoch.
+  constexpr std::uint64_t kNotFailed = ~std::uint64_t{0};
+  std::vector<std::uint64_t> failed_in_epoch(options_.shards.size(),
+                                             kNotFailed);
+  std::vector<std::uint64_t> epochs;
+  // Bounds the replays when shards keep failing and being restored while
+  // one request is in flight.
+  const int max_attempts = 4 * ring_.num_shards();
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
     int shard = -1;
     try {
-      shard = ring_.PickExcluding(key, excluded);
+      shard = ring_.PickExcluding(key,
+                                  ExcludedShards(failed_in_epoch, &epochs));
     } catch (const std::invalid_argument&) {
-      // Retryable by the taxonomy: shards come back (probe clears the
-      // unhealthy mark, RestoreShard undrains), so the client should back
-      // off and resubmit rather than treat this as a permanent failure.
-      return SerializeResponse(ServiceResponse{
-          0, "error", "", "no shard available (all drained or unreachable)",
-          ToString(ErrorCode::kUnavailable)});
+      break;
     }
+    const auto s = static_cast<std::size_t>(shard);
     std::string response;
     try {
       response = ExchangeWithShard(conn, shard, payload);
@@ -225,10 +235,10 @@ std::string FleetRouter::ForwardWithFailover(Connection& conn,
       // gets exactly one response.
       {
         std::lock_guard<std::mutex> lock(shard_mutex_);
-        unhealthy_[static_cast<std::size_t>(shard)] = true;
+        unhealthy_[s] = true;
       }
       failovers_.fetch_add(1, std::memory_order_relaxed);
-      excluded[static_cast<std::size_t>(shard)] = true;
+      failed_in_epoch[s] = epochs[s];
       continue;
     }
     // A shard drained between our routing decision and its admission
@@ -238,7 +248,7 @@ std::string FleetRouter::ForwardWithFailover(Connection& conn,
     try {
       if (ParseResponse(response).status == "shutting_down") {
         replays_.fetch_add(1, std::memory_order_relaxed);
-        excluded[static_cast<std::size_t>(shard)] = true;
+        failed_in_epoch[s] = epochs[s];
         continue;
       }
     } catch (const std::exception&) {
@@ -247,6 +257,12 @@ std::string FleetRouter::ForwardWithFailover(Connection& conn,
     forwarded_.fetch_add(1, std::memory_order_relaxed);
     return response;
   }
+  // Retryable by the taxonomy: shards come back (probe clears the unhealthy
+  // mark, RestoreShard undrains), so the client should back off and
+  // resubmit rather than treat this as a permanent failure.
+  return SerializeResponse(ServiceResponse{
+      0, "error", "", "no shard available (all drained or unreachable)",
+      ToString(ErrorCode::kUnavailable)});
 }
 
 std::string FleetRouter::ExchangeWithShard(Connection& conn, int shard,
@@ -282,6 +298,7 @@ void FleetRouter::RestoreShard(int shard) {
   std::lock_guard<std::mutex> lock(shard_mutex_);
   drained_.at(static_cast<std::size_t>(shard)) = false;
   unhealthy_.at(static_cast<std::size_t>(shard)) = false;
+  ++restore_epoch_.at(static_cast<std::size_t>(shard));
 }
 
 bool FleetRouter::IsDrained(int shard) const {

@@ -24,7 +24,11 @@
 // Failover/replay: a shard that fails at the transport level (FrameError;
 // the router reconnects once first) is marked unhealthy and the request is
 // replayed on the surviving ring; a shard answering "shutting_down"
-// (drained mid-request) triggers the same replay. Either way the client
+// (drained mid-request) triggers the same replay. Every replay re-reads the
+// live drained/unhealthy state, and skips a shard that failed this request
+// only until that shard is restored — so a request that bounces off two
+// shards in turn during a rolling restart lands on the first one again once
+// it is back. The replays per request are bounded. Either way the client
 // receives exactly one response. Analysis methods are deterministic and
 // content-cached, so a replay that duplicates work on a new shard is
 // harmless. "overloaded" responses pass through untouched — backpressure
@@ -111,7 +115,8 @@ class FleetRouter {
   int num_shards() const { return ring_.num_shards(); }
 
   // Drain protocol. Index is into options.shards. Draining an already
-  // drained shard (or restoring a live one) is a no-op.
+  // drained shard is a no-op. Every restore starts a new restore epoch: a
+  // request that failed on the shard before it may try it again.
   void DrainShard(int shard);
   void RestoreShard(int shard);
   bool IsDrained(int shard) const;
@@ -140,7 +145,12 @@ class FleetRouter {
   std::string ExchangeWithShard(Connection& conn, int shard,
                                 const std::string& payload);
   std::uint64_t RoutingKey(const std::string& payload);
-  std::vector<bool> ExcludedShards() const;
+  // Shards the next attempt of a request must skip: drained or unhealthy
+  // now, or failed by this request in their current restore epoch
+  // (`failed_in_epoch[i]`). `epochs` receives the epochs the decision used.
+  std::vector<bool> ExcludedShards(
+      const std::vector<std::uint64_t>& failed_in_epoch,
+      std::vector<std::uint64_t>* epochs) const;
   void ShutdownFleet();  // forwards "shutdown" to every shard
   void StopListeningLocked();
 
@@ -159,6 +169,7 @@ class FleetRouter {
   mutable std::mutex shard_mutex_;
   std::vector<bool> drained_;
   std::vector<bool> unhealthy_;
+  std::vector<std::uint64_t> restore_epoch_;  // RestoreShard calls per shard
 
   std::mutex key_mutex_;
   std::map<std::string, std::uint64_t> key_cache_;

@@ -16,10 +16,6 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
       o.reorder = true;
     } else if (arg == "--no-reorder") {
       o.reorder = false;
-    } else if (arg == "--batch") {
-      o.batch = true;
-    } else if (arg == "--no-batch") {
-      o.batch = false;
     } else if (arg.rfind("--threads=", 0) == 0) {
       const std::string value = arg.substr(10);
       char* end = nullptr;
@@ -35,8 +31,7 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
       SM_REQUIRE(false, "unknown benchmark flag: "
                             << arg
                             << " (expected --threads=N, --json=PATH, --smoke, "
-                               "--reorder, --no-reorder, --batch, "
-                               "--no-batch)");
+                               "--reorder, --no-reorder)");
     }
   }
   return o;

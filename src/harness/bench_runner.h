@@ -22,12 +22,11 @@ struct BenchOptions {
   int threads = 1;        // --threads=N
   bool smoke = false;     // --smoke: reduced circuit list for CI
   bool reorder = false;   // --reorder / --no-reorder: sifting in the flows
-  bool batch = true;      // --batch / --no-batch: 64-lane batched simulation
   std::string json_path;  // --json=PATH: machine-readable result dump
 };
 
-// Parses --threads=N, --smoke, --reorder/--no-reorder, --batch/--no-batch
-// and --json=PATH; throws std::invalid_argument on an unknown flag or a
+// Parses --threads=N, --smoke, --reorder/--no-reorder and --json=PATH;
+// throws std::invalid_argument on an unknown flag or a
 // malformed value.
 BenchOptions ParseBenchArgs(int argc, char** argv);
 

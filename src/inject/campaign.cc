@@ -617,36 +617,10 @@ InjectionCampaignResult RunInjectionCampaign(
   std::vector<std::uint64_t> chunk_words(num_chunks, 0);
   std::vector<std::uint64_t> chunk_lanes(num_chunks, 0);
 
-  const auto run_trials_scalar = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t t = lo; t < hi; ++t) {
-      // Cancellation: skip instead of throwing across the pool; the
-      // post-pool Check() raises the typed error after the workers drain.
-      if (options.cancel != nullptr &&
-          options.cancel->Status() != ErrorCode::kOk) {
-        return;
-      }
-      if (options.cancel != nullptr) options.cancel->ConsumeWork(1);
-      const std::size_t site_index = t / options.vectors_per_site;
-      const std::size_t vector_index = t % options.vectors_per_site;
-      const TrialSetup s =
-          MakeTrialSetup(prot.NumInputs(), options, delta, sites[site_index],
-                         contexts[site_index], t, vector_index);
-      std::size_t escaping = 0;
-      std::size_t taps = 0;
-      Slot slot;
-      slot.outcome = ClassifyFaultTrial(
-          protected_circuit, s.fault, s.previous, s.next, clock,
-          protected_clock, &escaping, &taps, &options.waived_outputs);
-      slot.escaping_output = static_cast<std::uint32_t>(escaping);
-      slot.masked_taps = static_cast<std::uint32_t>(taps);
-      slots[t] = slot;
-    }
-  };
-
-  // Batched path: each lane carries one (fault, vector) trial — a sparse
-  // extra-delay override for a permanent fault, a per-lane transient for a
-  // one-shot edge — and lane classification mirrors ClassifyFaultTrial.
-  const auto run_trials_batched = [&](std::size_t lo, std::size_t hi) {
+  // Each lane carries one (fault, vector) trial — a sparse extra-delay
+  // override for a permanent fault, a per-lane transient for a one-shot
+  // edge — and lane classification mirrors ClassifyFaultTrial.
+  const auto run_trials = [&](std::size_t lo, std::size_t hi) {
     const auto width = static_cast<std::size_t>(options.batch_width);
     BatchEventSim engine(prot);
     std::vector<TrialSetup> setups(width);
@@ -721,14 +695,7 @@ InjectionCampaignResult RunInjectionCampaign(
   };
 
   ThreadPool pool(options.threads);
-  pool.ParallelFor(0, trials, options.chunk,
-                   [&](std::size_t lo, std::size_t hi) {
-                     if (options.use_batch_sim) {
-                       run_trials_batched(lo, hi);
-                     } else {
-                       run_trials_scalar(lo, hi);
-                     }
-                   });
+  pool.ParallelFor(0, trials, options.chunk, run_trials);
   // Raise the typed error only after the pool has drained: workers skipped
   // rather than threw, so no exception crosses a thread boundary.
   if (options.cancel != nullptr) options.cancel->Check();

@@ -106,13 +106,11 @@ struct InjectOptions {
   int threads = 1;
   std::size_t chunk = 64;  // trials per thread-pool task (one full batch)
   std::uint64_t seed = 2009;
-  // Pack each chunk's trials into 64-lane batched simulation runs
-  // (batch_sim.h): per-lane sparse extra-delay overrides model permanent
-  // faults, per-lane transient faults model one-shot edges. Outcomes are
-  // bit-identical to the scalar path, which stays available for
-  // benchmarking and differential testing.
-  bool use_batch_sim = true;
-  int batch_width = 64;  // lanes per batched run, in [1, 64]
+  // Each chunk's trials are packed into 64-lane batched simulation runs
+  // (batch_sim.h), `batch_width` lanes per run, in [1, 64]: per-lane sparse
+  // extra-delay overrides model permanent faults, per-lane transient faults
+  // model one-shot edges. Outcomes are identical at every width.
+  int batch_width = 64;
   // Minimize escapes into smallest reproducers (sequential, deterministic).
   bool shrink = true;
   std::size_t max_shrink_escapes = 4;
@@ -171,9 +169,8 @@ struct InjectionCampaignResult {
   double seconds = 0;
   double trials_per_second = 0;
 
-  // Batched-simulation telemetry (zero on the scalar path); deterministic
-  // for fixed options and excluded from the scalar-vs-batched identity
-  // contract over the semantic fields above.
+  // Batched-simulation telemetry; deterministic for fixed options but,
+  // unlike the semantic fields above, dependent on chunk and batch_width.
   std::uint64_t words_simulated = 0;
   std::uint64_t lanes_simulated = 0;
   double lane_utilization = 0;  // lanes / (words * 64)
@@ -182,8 +179,9 @@ struct InjectionCampaignResult {
 };
 
 // Classifies one fault/vector trial against the protected netlist — the
-// single-shot primitive the campaign, the shrinker and reproducer replays
-// share. Primary outputs are judged at `protected_clock` (= clock + mux
+// single-shot primitive the shrinker and reproducer replays share, and the
+// scalar oracle the campaign's batched lane classification mirrors.
+// Primary outputs are judged at `protected_clock` (= clock + mux
 // compensation); each tap's copied-original output is judged against its
 // own deadline `clock`, matching the Monte-Carlo engine. `escaping_output`,
 // when non-null and the outcome is an escape, receives the first wrong

@@ -1,6 +1,7 @@
 #include "map/mapped_netlist.h"
 
 #include "util/check.h"
+#include "util/strings.h"
 
 namespace sm {
 
@@ -29,7 +30,7 @@ GateId MappedNetlist::AddGate(const Cell* cell, std::vector<GateId> fanins,
   for (GateId f : fanins) {
     SM_REQUIRE(f < id, "fanins must be previously created elements (acyclic)");
   }
-  if (name.empty()) name = "g" + std::to_string(id);
+  if (name.empty()) name = IndexedName("g", id);
   SM_REQUIRE(by_name_.find(name) == by_name_.end(),
              "duplicate element name: " << name);
   by_name_.emplace(name, id);

@@ -57,7 +57,7 @@ class CandidateEvaluator {
 
   // One evaluation per candidate, same order. `threads` is a wall-clock
   // hint only: results must not depend on it (in-process evaluation is a
-  // pure function per candidate; the daemon evaluator ignores the hint).
+  // pure function per candidate).
   virtual std::vector<OptEvaluation> EvaluateBatch(
       const std::vector<CandidateConfig>& candidates, int threads) = 0;
 

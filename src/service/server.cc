@@ -81,7 +81,6 @@ struct SpeedmaskServer::WorkerContext {
       // the finished request while the manager itself — allocated slot
       // capacity, surviving op-cache entries, work counters — stays warm.
       it->second->GarbageCollect();
-      if (options.warm_reorder) it->second->Reorder();
       if (it->second->NumNodes() > options.manager_reset_nodes) {
         // Only reachable if something left roots registered across
         // requests; rebuild rather than let the manager pin that memory.
@@ -452,7 +451,7 @@ void SpeedmaskServer::RunAnalysis(std::shared_ptr<Connection> conn,
 namespace {
 
 // Effort + scope of a scoped-flow request mapped onto synthesis options
-// (the same resolution the optimizer's evaluators apply client-side).
+// (the same resolution the optimizer's evaluator applies in process).
 MaskingSynthOptions ScopedSynthOptions(const ServiceRequest& request) {
   MaskingSynthOptions synth =
       SynthOptionsForEffort(static_cast<int>(request.effort));

@@ -80,11 +80,6 @@ struct ServerOptions {
   // collection (i.e. something kept roots registered) is rebuilt. With the
   // GC path this should never fire; the manager_resets stat counts it.
   std::size_t manager_reset_nodes = 4'000'000;
-  // Run one sifting pass on a warm manager after each over-threshold GC.
-  // Reordering changes BDD structure (and the SatOne cube picks downstream),
-  // so cold-vs-warm byte identity of synthesized results is lost — keep off
-  // unless clients only compare semantic numbers.
-  bool warm_reorder = false;
   // Cooperative mid-flight cancellation: thread a CancelToken (deadline +
   // work budget + client-disconnect cancel) through every analysis into the
   // BDD/MC/injection/optimizer kernels, so an expired deadline aborts the

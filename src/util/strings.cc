@@ -62,4 +62,10 @@ std::string FormatPercent(double fraction_times_100, int decimals) {
   return buf;
 }
 
+std::string IndexedName(std::string_view prefix, std::size_t index) {
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 }  // namespace sm

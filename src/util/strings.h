@@ -1,6 +1,7 @@
 // String helpers shared by parsers and report writers.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,5 +24,8 @@ std::string FormatCount(double value);
 
 // Fixed-width percent like "16.2".
 std::string FormatPercent(double fraction_times_100, int decimals = 1);
+
+// `prefix` followed by the decimal index: IndexedName("a", 3) == "a3".
+std::string IndexedName(std::string_view prefix, std::size_t index);
 
 }  // namespace sm

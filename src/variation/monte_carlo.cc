@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "sim/batch_sim.h"
-#include "sim/event_sim.h"
 #include "sta/sta.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -34,11 +33,10 @@ struct TrialOutcome {
   double log_weight = 0;
 };
 
-// A violating trial's deferred classification work: the pattern pairs the
-// scalar path would simulate one by one, kept with the trial's delay plane
-// so a chunk's trials can be packed into 64-lane batched runs. The per-
-// transition counts come back lane by lane and the reduction replays the
-// scalar early-exit bookkeeping, so the outcome is bit-identical.
+// A violating trial's deferred classification work: its pattern pairs,
+// kept with the trial's delay plane so a chunk's trials can be packed into
+// 64-lane batched runs. The per-transition counts come back lane by lane
+// and are folded in transition order.
 struct TrialPlan {
   std::size_t trial = 0;
   std::vector<double> scale;
@@ -225,14 +223,11 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
   (void)original.Fanouts();
 
   std::vector<TrialOutcome> outcomes(options.trials);
-  // With `plan == nullptr` the trial is classified inline through the scalar
-  // engine (the original path, kept as the differential oracle). With a plan
-  // the simulations are deferred: the same RNG stream generates the same
-  // pattern pairs, which the caller packs into batched runs. The only
-  // divergence is that the plan generates every transition while the scalar
-  // loop stops generating after the first residual one — those draws come
-  // from the trial's private classify stream, so nothing downstream shifts.
-  const auto run_trial = [&](std::size_t t, TrialPlan* plan) {
+  // Samples, times and scans trial t. A violating trial leaves its
+  // classification pattern pairs and delay plane in `plan` for the batched
+  // runs; the pairs come from the trial's private classify stream, so how
+  // the trials are packed never shifts a draw.
+  const auto run_trial = [&](std::size_t t, TrialPlan& plan) {
     // Cancellation: skip instead of throwing across the pool; the post-pool
     // Check() raises the typed error once every worker has drained.
     if (options.cancel != nullptr && options.cancel->Status() != ErrorCode::kOk) {
@@ -297,9 +292,6 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     // probability) and fully random pattern pairs (these catch escapes STA
     // blamed on one output but that surface on another).
     Rng rng = Rng::ForStream(options.seed, t + kClassifyStreamOffset);
-    EventSimConfig cfg;
-    cfg.clock = prot_clock;
-    if (plan == nullptr) cfg.delay_scale = sample.scale;
     for (int i = 0; i < options.classify_transitions; ++i) {
       std::vector<bool> next(prot.NumInputs());
       for (std::size_t v = 0; v < next.size(); ++v) next[v] = rng.Chance(0.5);
@@ -323,39 +315,16 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
           prev[v] = rng.Chance(0.5);
         }
       }
-      if (plan != nullptr) {
-        plan->prev.push_back(std::move(prev));
-        plan->next.push_back(std::move(next));
-        continue;
-      }
-      const EventSimResult sim = SimulateTransition(prot, prev, next, cfg);
-      for (const auto& o : prot.outputs()) {
-        if (sim.TimingErrorAt(o.driver)) {
-          ++out.residual_events;
-          out.residual = true;
-        }
-      }
-      for (const auto& tap : protected_circuit.taps) {
-        // The copied original output is judged at the raw clock; with the
-        // indicator raised the mux absorbed the error — the paper's
-        // e_i·(y_i ⊕ ỹ_i) wearout events.
-        if (sim.sampled[tap.indicator] &&
-            sim.settle_at[tap.original] > clock + kEps) {
-          ++out.masked_events;
-        }
-      }
-      if (out.residual) break;  // classified; spare the remaining budget
+      plan.prev.push_back(std::move(prev));
+      plan.next.push_back(std::move(next));
     }
-    if (plan != nullptr && !plan->prev.empty()) {
-      plan->trial = t;
-      plan->scale = std::move(sample.scale);
-      return;
-    }
-    out.excited = out.masked_events > 0 || out.residual_events > 0;
+    plan.trial = t;
+    plan.scale = std::move(sample.scale);
   };
 
-  // Counts one lane of a batched run against the trial's outcome slots —
-  // the loop bodies match the scalar path's output/tap scans above.
+  // Counts one lane of a batched run: outputs latching a timing error, and
+  // taps whose copied original output y missed the raw clock while the
+  // indicator e was raised — the paper's e_i·(y_i ⊕ ỹ_i) wearout events.
   const auto count_lane = [&](const BatchEventSimResult& sim, int lane,
                               TrialPlan& plan, std::size_t transition) {
     std::uint32_t errs = 0;
@@ -381,13 +350,13 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
   std::vector<std::uint64_t> chunk_lanes(num_chunks, 0);
 
   const int width = options.batch_width;
-  const auto run_chunk_batched = [&](std::size_t lo, std::size_t hi) {
+  const auto run_chunk = [&](std::size_t lo, std::size_t hi) {
     // Phase A: STA + escape scan per trial; violating trials leave their
     // classification patterns and delay plane in a plan.
     std::vector<TrialPlan> pending;
     for (std::size_t t = lo; t < hi; ++t) {
       TrialPlan plan;
-      run_trial(t, &plan);
+      run_trial(t, plan);
       if (!plan.prev.empty()) pending.push_back(std::move(plan));
     }
     if (pending.empty()) return;
@@ -441,10 +410,10 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     chunk_words[lo / options.chunk] += words;
     chunk_lanes[lo / options.chunk] += lanes.size();
 
-    // Phase C: fold the per-transition counts back in scalar order,
-    // replaying the scalar loop's stop-after-first-residual-transition
-    // bookkeeping (including the structurally-residual case, which the
-    // scalar path simulates for exactly one transition).
+    // Phase C: fold the per-transition counts in transition order, up to
+    // and including the first transition that lets an error escape. A trial
+    // the scan already found residual therefore counts its first transition
+    // only.
     for (TrialPlan& plan : pending) {
       TrialOutcome& out = outcomes[plan.trial];
       for (std::size_t j = 0; j < plan.err_counts.size(); ++j) {
@@ -462,16 +431,7 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
   WallTimer timer;
   {
     ThreadPool pool(options.threads);
-    pool.ParallelFor(0, options.trials, options.chunk,
-                     [&](std::size_t lo, std::size_t hi) {
-                       if (options.use_batch_sim) {
-                         run_chunk_batched(lo, hi);
-                       } else {
-                         for (std::size_t t = lo; t < hi; ++t) {
-                           run_trial(t, nullptr);
-                         }
-                       }
-                     });
+    pool.ParallelFor(0, options.trials, options.chunk, run_chunk);
   }
   // Raise the typed error only after the pool has drained: the workers
   // skipped (never threw), so no exception crosses a thread boundary.

@@ -6,6 +6,8 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "harness/flow.h"
@@ -18,6 +20,7 @@
 #include "sim/logic_sim.h"
 #include "sta/sta.h"
 #include "suite/circuit_gen.h"
+#include "suite/paper_suite.h"
 #include "suite/structured.h"
 #include "util/rng.h"
 
@@ -283,10 +286,89 @@ TEST(LogicSim, SteadyStateParallelMatchesScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Consumer bit-identity: the Monte-Carlo yield engine and the injection
-// campaign must produce identical results (doubles included) whether they
-// classify trials through the scalar engine or the batched one, at any batch
-// width and thread count.
+// Consumer identity: the Monte-Carlo yield engine and the injection campaign
+// classify through the batched engine only. Their results (doubles
+// included) must equal, at every batch width and thread count, the literals
+// recorded from the one-trial-at-a-time scalar classifier they replaced.
+// Doubles are hex-float literals, so the comparisons are bit-exact.
+
+struct YieldRecord {
+  std::size_t trials, violations_original, violations_protected,
+      masked_trials, residual_trials, unexcited_trials, scan_truncations;
+  std::uint64_t masked_events, residual_events;
+  double yield_original, yield_protected, residual_rate, residual_stderr,
+      relative_error, effective_samples, clock, protected_clock;
+};
+
+struct EscapeLiteral {
+  std::size_t trial;
+  GateId site;
+  std::uint64_t transition_index;
+  double delta;
+  const char* previous;
+  const char* next;
+  std::size_t output_index;
+  bool shrunk;
+};
+
+struct CampaignRecord {
+  std::size_t sites, trials, benign, masked, escapes;
+  std::uint64_t masked_events;
+  double clock, protected_clock, delta;
+  std::vector<EscapeLiteral> escape_records;
+};
+
+std::string Bits(const std::vector<bool>& bits) {
+  std::string s;
+  for (const bool b : bits) s.push_back(b ? '1' : '0');
+  return s;
+}
+
+void ExpectYieldMatches(const YieldRecord& want, const YieldMcResult& got) {
+  EXPECT_EQ(got.trials, want.trials);
+  EXPECT_EQ(got.violations_original, want.violations_original);
+  EXPECT_EQ(got.violations_protected, want.violations_protected);
+  EXPECT_EQ(got.masked_trials, want.masked_trials);
+  EXPECT_EQ(got.residual_trials, want.residual_trials);
+  EXPECT_EQ(got.unexcited_trials, want.unexcited_trials);
+  EXPECT_EQ(got.scan_truncations, want.scan_truncations);
+  EXPECT_EQ(got.masked_events, want.masked_events);
+  EXPECT_EQ(got.residual_events, want.residual_events);
+  EXPECT_EQ(got.yield_original, want.yield_original);
+  EXPECT_EQ(got.yield_protected, want.yield_protected);
+  EXPECT_EQ(got.residual_rate, want.residual_rate);
+  EXPECT_EQ(got.residual_stderr, want.residual_stderr);
+  EXPECT_EQ(got.relative_error, want.relative_error);
+  EXPECT_EQ(got.effective_samples, want.effective_samples);
+  EXPECT_EQ(got.clock, want.clock);
+  EXPECT_EQ(got.protected_clock, want.protected_clock);
+}
+
+void ExpectCampaignMatches(const CampaignRecord& want,
+                           const InjectionCampaignResult& got) {
+  EXPECT_EQ(got.sites, want.sites);
+  EXPECT_EQ(got.trials, want.trials);
+  EXPECT_EQ(got.benign, want.benign);
+  EXPECT_EQ(got.masked, want.masked);
+  EXPECT_EQ(got.escapes, want.escapes);
+  EXPECT_EQ(got.masked_events, want.masked_events);
+  EXPECT_EQ(got.clock, want.clock);
+  EXPECT_EQ(got.protected_clock, want.protected_clock);
+  EXPECT_EQ(got.delta, want.delta);
+  ASSERT_EQ(got.escape_records.size(), want.escape_records.size());
+  for (std::size_t i = 0; i < want.escape_records.size(); ++i) {
+    const EscapeRecord& x = got.escape_records[i];
+    const EscapeLiteral& y = want.escape_records[i];
+    EXPECT_EQ(x.trial, y.trial) << "record " << i;
+    EXPECT_EQ(x.site, y.site) << "record " << i;
+    EXPECT_EQ(x.transition_index, y.transition_index) << "record " << i;
+    EXPECT_EQ(x.delta, y.delta) << "record " << i;
+    EXPECT_EQ(Bits(x.previous), y.previous) << "record " << i;
+    EXPECT_EQ(Bits(x.next), y.next) << "record " << i;
+    EXPECT_EQ(x.output_index, y.output_index) << "record " << i;
+    EXPECT_EQ(x.shrunk, y.shrunk) << "record " << i;
+  }
+}
 
 class BatchConsumersTest : public ::testing::Test {
  protected:
@@ -309,116 +391,234 @@ class BatchConsumersTest : public ::testing::Test {
 Library* BatchConsumersTest::lib_ = nullptr;
 FlowResult* BatchConsumersTest::flow_ = nullptr;
 
-void ExpectSameYield(const YieldMcResult& a, const YieldMcResult& b) {
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.violations_original, b.violations_original);
-  EXPECT_EQ(a.violations_protected, b.violations_protected);
-  EXPECT_EQ(a.masked_trials, b.masked_trials);
-  EXPECT_EQ(a.residual_trials, b.residual_trials);
-  EXPECT_EQ(a.unexcited_trials, b.unexcited_trials);
-  EXPECT_EQ(a.scan_truncations, b.scan_truncations);
-  EXPECT_EQ(a.masked_events, b.masked_events);
-  EXPECT_EQ(a.residual_events, b.residual_events);
-  EXPECT_EQ(a.yield_original, b.yield_original);
-  EXPECT_EQ(a.yield_protected, b.yield_protected);
-  EXPECT_EQ(a.residual_rate, b.residual_rate);
-  EXPECT_EQ(a.residual_stderr, b.residual_stderr);
-  EXPECT_EQ(a.relative_error, b.relative_error);
-  EXPECT_EQ(a.effective_samples, b.effective_samples);
-  EXPECT_EQ(a.clock, b.clock);
-  EXPECT_EQ(a.protected_clock, b.protected_clock);
-}
-
-void ExpectSameCampaign(const InjectionCampaignResult& a,
-                        const InjectionCampaignResult& b) {
-  EXPECT_EQ(a.sites, b.sites);
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.benign, b.benign);
-  EXPECT_EQ(a.masked, b.masked);
-  EXPECT_EQ(a.escapes, b.escapes);
-  EXPECT_EQ(a.masked_events, b.masked_events);
-  EXPECT_EQ(a.clock, b.clock);
-  EXPECT_EQ(a.delta, b.delta);
-  ASSERT_EQ(a.escape_records.size(), b.escape_records.size());
-  for (std::size_t i = 0; i < a.escape_records.size(); ++i) {
-    const EscapeRecord& x = a.escape_records[i];
-    const EscapeRecord& y = b.escape_records[i];
-    EXPECT_EQ(x.trial, y.trial);
-    EXPECT_EQ(x.site, y.site);
-    EXPECT_EQ(x.transition_index, y.transition_index);
-    EXPECT_EQ(x.delta, y.delta);
-    EXPECT_EQ(x.previous, y.previous);
-    EXPECT_EQ(x.next, y.next);
-    EXPECT_EQ(x.output_index, y.output_index);
-  }
-}
-
-TEST_F(BatchConsumersTest, YieldMcBitIdenticalAcrossWidthsAndThreads) {
-  YieldMcOptions options;
-  options.trials = 400;
-  options.seed = 20090209;
-  options.model.sigma = 0.15;
-  options.classify_transitions = 4;
-  options.use_batch_sim = false;
-  const YieldMcResult scalar = EstimateTimingYield(*flow_, options);
-  ASSERT_GT(scalar.violations_protected, 0u)
-      << "fixture no longer exercises the classification simulator";
-  ASSERT_GT(scalar.masked_events + scalar.residual_events, 0u);
-
-  options.use_batch_sim = true;
-  for (const int width : {1, 7, 64}) {
-    options.batch_width = width;
-    for (const int threads : {1, 8}) {
-      options.threads = threads;
-      const YieldMcResult batched = EstimateTimingYield(*flow_, options);
-      ExpectSameYield(scalar, batched);
-      EXPECT_GT(batched.words_simulated, 0u) << "batched path did not run";
-      EXPECT_GT(batched.lane_utilization, 0.0);
+// The second case's sigma makes many trials residual by the escape scan; it
+// pins the fold that stops counting events after a trial's first escaping
+// transition.
+TEST_F(BatchConsumersTest, YieldMcMatchesScalarRecordAcrossWidthsAndThreads) {
+  struct YieldCase {
+    double sigma;
+    int classify_transitions;
+    YieldRecord want;
+  };
+  const std::vector<YieldCase> cases = {
+      {0.15, 4,
+       {400, 202, 202, 201, 1, 190, 0, 11, 0, 0x1.fae147ae147aep-2,
+        0x1.feb851eb851ecp-1, 0x1.47ae147ae147bp-9, 0x1.47ae147ae147bp-9,
+        0x1p+0, 0x1.9p+8, 0x1.1666666666666p+4, 0x1.3ccccccccccccp+4}},
+      {0.4, 8,
+       {400, 214, 213, 151, 62, 128, 0, 26, 0, 0x1.dc28f5c28f5c2p-2,
+        0x1.b0a3d70a3d70ap-1, 0x1.3d70a3d70a3d7p-3, 0x1.28d7f66611077p-6,
+        0x1.dec7ae7313355p-4, 0x1.9p+8, 0x1.1666666666666p+4,
+        0x1.3ccccccccccccp+4}},
+  };
+  for (const YieldCase& c : cases) {
+    YieldMcOptions options;
+    options.trials = 400;
+    options.seed = 20090209;
+    options.model.sigma = c.sigma;
+    options.classify_transitions = c.classify_transitions;
+    for (const int width : {1, 7, 64}) {
+      options.batch_width = width;
+      for (const int threads : {1, 8}) {
+        options.threads = threads;
+        SCOPED_TRACE(testing::Message() << "sigma " << c.sigma << " width "
+                                        << width << " threads " << threads);
+        const YieldMcResult batched = EstimateTimingYield(*flow_, options);
+        ExpectYieldMatches(c.want, batched);
+        EXPECT_GT(batched.words_simulated, 0u) << "batched path did not run";
+        EXPECT_GT(batched.lane_utilization, 0.0);
+      }
     }
   }
-  EXPECT_EQ(scalar.words_simulated, 0u);  // scalar path reports no batches
 }
 
-TEST_F(BatchConsumersTest, YieldMcImportanceSamplingBitIdentical) {
+TEST_F(BatchConsumersTest, YieldMcImportanceSamplingMatchesScalarRecord) {
+  const YieldRecord want = {
+      300, 274, 274, 271, 3, 249, 0, 23, 0,
+      0x1.d99035525a198p-2, 0x1.ffe3fc0720a24p-1, 0x1.c03f8df5dc6bcp-13,
+      0x1.16ccc8605a2fdp-13, 0x1.3e73b7d1a732ap-1, 0x1.0eaebed49a2eep+5,
+      0x1.1666666666666p+4, 0x1.3ccccccccccccp+4};
   YieldMcOptions options;
   options.trials = 300;
   options.seed = 777;
   options.model.sigma = 0.12;
   options.classify_transitions = 4;
   options.importance_sampling = true;
-  options.use_batch_sim = false;
-  const YieldMcResult scalar = EstimateTimingYield(*flow_, options);
-  options.use_batch_sim = true;
-  options.threads = 4;
-  const YieldMcResult batched = EstimateTimingYield(*flow_, options);
-  ExpectSameYield(scalar, batched);
+  for (const int width : {1, 7, 64}) {
+    options.batch_width = width;
+    for (const int threads : {1, 8}) {
+      options.threads = threads;
+      SCOPED_TRACE(testing::Message() << "width " << width << " threads "
+                                      << threads);
+      ExpectYieldMatches(want, EstimateTimingYield(*flow_, options));
+    }
+  }
 }
 
-TEST_F(BatchConsumersTest, CampaignBitIdenticalForBothFaultKinds) {
-  for (const FaultKind kind :
-       {FaultKind::kPermanentDelta, FaultKind::kTransient}) {
-    InjectOptions options;
-    options.fault_kind = kind;
-    options.vectors_per_site = 5;
-    options.delta_fraction = 3.0;  // beyond the guarantee: escapes expected
-    options.seed = 31;
-    options.use_batch_sim = false;
-    const InjectionCampaignResult scalar =
-        RunFaultInjectionCampaign(*flow_, options);
-    ASSERT_GT(scalar.trials, 0u);
+// Campaign fixtures: both fault kinds at 3x the guard window over the
+// exhaustive speed-path sites, and at 8x over random gates — the latter
+// escapes, so the escape records (shrunk and raw) are compared too.
+struct CampaignCase {
+  FaultKind kind;
+  FaultSiteStrategy strategy;
+  double delta_fraction;
+};
 
-    options.use_batch_sim = true;
-    for (const int width : {7, 64}) {
+InjectOptions CampaignCaseOptions(const CampaignCase& c) {
+  InjectOptions options;
+  options.fault_kind = c.kind;
+  options.strategy = c.strategy;
+  options.vectors_per_site = 5;
+  options.delta_fraction = c.delta_fraction;
+  options.seed = 31;
+  return options;
+}
+
+const std::vector<CampaignCase>& CampaignCases() {
+  static const std::vector<CampaignCase> cases = {
+      {FaultKind::kPermanentDelta, FaultSiteStrategy::kExhaustiveSpeedPaths,
+       3.0},
+      {FaultKind::kTransient, FaultSiteStrategy::kExhaustiveSpeedPaths, 3.0},
+      {FaultKind::kPermanentDelta, FaultSiteStrategy::kRandomGates, 8.0},
+      {FaultKind::kTransient, FaultSiteStrategy::kRandomGates, 8.0},
+  };
+  return cases;
+}
+
+TEST_F(BatchConsumersTest, CampaignMatchesScalarRecordForBothFaultKinds) {
+  const double window_3x = 0x1.4e147ae034cd3p+2;
+  const double window_8x = 0x1.bd70a3d680ccfp+3;
+  const double clock = 0x1.1666666666666p+4;
+  const double protected_clock = 0x1.3ccccccccccccp+4;
+  const std::vector<CampaignRecord> want = {
+      {12, 60, 48, 12, 0, 12, clock, protected_clock, window_3x, {}},
+      {12, 60, 56, 4, 0, 4, clock, protected_clock, window_3x, {}},
+      {24, 120, 89, 13, 18, 13, clock, protected_clock, window_8x,
+       {
+           {0, 12, 0, 0x1.a04b851e37df8p+3, "000001000001", "000001000000", 0,
+            true},
+           {5, 13, 0, 0x1.a04b851e37df8p+3, "000001000001", "000001000000", 0,
+            true},
+           {7, 13, 0, 0x1.a04b851e37df8p+3, "000001000010", "000001000011", 0,
+            true},
+           {10, 14, 0, 0x1.99c51eb7d37c8p+3, "000001000001", "000000000001",
+            0, true},
+           {12, 14, 0, window_8x, "111010010011", "111011010011", 0, false},
+           {14, 14, 0, window_8x, "010111111100", "010110111100", 0, false},
+           {15, 15, 0, window_8x, "111111000011", "111101000011", 0, false},
+           {20, 16, 0, window_8x, "111111000111", "111011000111", 0, false},
+           {21, 16, 0, window_8x, "011011010100", "011001100001", 0, false},
+           {25, 17, 0, window_8x, "101111011111", "101111010111", 0, false},
+           {30, 18, 0, window_8x, "101111011111", "101111010111", 0, false},
+           {35, 19, 0, window_8x, "111111001111", "110111001111", 0, false},
+           {70, 27, 0, window_8x, "011111111111", "011111101111", 0, false},
+           {90, 31, 0, window_8x, "110111001111", "110111001011", 0, false},
+           {95, 32, 0, window_8x, "110111001111", "110111001011", 0, false},
+           {103, 33, 0, window_8x, "101000011100", "100111010011", 0, false},
+           {105, 34, 0, window_8x, "111011000111", "111011000101", 0, false},
+           {116, 36, 0, window_8x, "001111001100", "111101001011", 0, false},
+       }},
+      {24, 120, 108, 6, 6, 6, clock, protected_clock, window_8x,
+       {
+           {12, 14, 0, 0x1.99c51eb7d37c8p+3, "001010000001", "001011000001",
+            0, true},
+           {14, 14, 0, 0x1.99c51eb7d37c8p+3, "000011000000", "000010000000",
+            0, true},
+           {95, 32, 0, 0x1.2067ae1421e4bp+3, "000111000111", "000111000011",
+            0, true},
+           {103, 33, 0, 0x1.19e147adbd81ap+3, "000101000001", "000101000011",
+            0, true},
+           {105, 34, 0, window_8x, "111011000111", "111011000101", 0, false},
+           {116, 36, 1, window_8x, "001111001100", "111101001011", 0, false},
+       }},
+  };
+  ASSERT_EQ(want.size(), CampaignCases().size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    InjectOptions options = CampaignCaseOptions(CampaignCases()[k]);
+    for (const int width : {1, 7, 64}) {
       options.batch_width = width;
       for (const int threads : {1, 8}) {
         options.threads = threads;
+        SCOPED_TRACE(testing::Message() << "case " << k << " width " << width
+                                        << " threads " << threads);
         const InjectionCampaignResult batched =
             RunFaultInjectionCampaign(*flow_, options);
-        ExpectSameCampaign(scalar, batched);
+        ExpectCampaignMatches(want[k], batched);
         EXPECT_GT(batched.words_simulated, 0u);
       }
     }
   }
+}
+
+// A live scalar oracle next to the recorded literals: every raw escape the
+// batched campaign reports must replay as an escape, at the same output,
+// through the scalar engine's single-trial classifier.
+TEST_F(BatchConsumersTest, CampaignEscapesReplayThroughScalarOracle) {
+  std::size_t replayed = 0;
+  for (const CampaignCase& c : CampaignCases()) {
+    InjectOptions options = CampaignCaseOptions(c);
+    options.shrink = false;
+    const InjectionCampaignResult r =
+        RunFaultInjectionCampaign(*flow_, options);
+    ASSERT_EQ(r.escape_records.size(), r.escapes);
+    for (const EscapeRecord& rec : r.escape_records) {
+      EXPECT_FALSE(rec.shrunk);
+      std::size_t output = flow_->protected_circuit.netlist.NumOutputs();
+      EXPECT_EQ(ClassifyFaultTrial(flow_->protected_circuit, rec.Fault(),
+                                   rec.previous, rec.next, r.clock,
+                                   r.protected_clock, &output),
+                InjectOutcome::kEscape)
+          << "trial " << rec.trial;
+      EXPECT_EQ(output, rec.output_index) << "trial " << rec.trial;
+      ++replayed;
+    }
+  }
+  EXPECT_EQ(replayed, 24u) << "the 8x fixtures no longer escape";
+}
+
+// The configurations the yield_mc and inject_campaign benches once gated
+// against the scalar engine: `yield_mc cu 2000 0.05` and the smoke
+// campaigns.
+TEST(BatchConsumers, YieldMcBenchConfigMatchesScalarRecord) {
+  const Library lib = Lsi10kLike();
+  const FlowResult flow =
+      RunMaskingFlow(GenerateCircuit(PaperCircuitByName("cu").spec), lib);
+  YieldMcOptions options;
+  options.trials = 2000;
+  options.seed = 20090420;
+  options.model.sigma = 0.05;
+  options.classify_transitions = 8;
+  options.threads = 8;
+  ExpectYieldMatches(
+      {2000, 976, 1120, 1120, 0, 1115, 0, 10, 0, 0x1.0624dd2f1a9fcp-1,
+       0x1p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.f4p+10, 0x1.b333333333334p+4,
+       0x1.d99999999999ap+4},
+      EstimateTimingYield(flow, options));
+}
+
+TEST(BatchConsumers, InjectSmokeCampaignsMatchScalarRecord) {
+  const std::map<std::string, CampaignRecord> want = {
+      {"C432",
+       {16, 128, 112, 16, 0, 16, 0x1.d333333333333p+4, 0x1.f999999999999p+4,
+        0x1.75c28f5a03343p+1, {}}},
+      {"sparc_ifu_invctl",
+       {96, 768, 704, 64, 0, 97, 0x1.f99999999999ap+4, 0x1.1p+5,
+        0x1.947ae1458852ep+1, {}}},
+  };
+  const Library lib = Lsi10kLike();
+  std::size_t checked = 0;
+  for (const PaperCircuitInfo& info : Table1SmokeCircuits()) {
+    SCOPED_TRACE(info.spec.name);
+    const auto it = want.find(info.spec.name);
+    ASSERT_NE(it, want.end()) << "no scalar record for this smoke circuit";
+    const FlowResult flow = RunMaskingFlow(GenerateCircuit(info.spec), lib);
+    InjectOptions options;
+    options.vectors_per_site = 8;
+    options.threads = 8;
+    ExpectCampaignMatches(it->second, RunFaultInjectionCampaign(flow, options));
+    ++checked;
+  }
+  EXPECT_EQ(checked, want.size());
 }
 
 }  // namespace

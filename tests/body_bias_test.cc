@@ -5,6 +5,7 @@
 #include "masking/body_bias.h"
 #include "suite/paper_suite.h"
 #include "suite/structured.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -71,7 +72,7 @@ TEST(BodyBias, ScaledStaMatchesManualExpectation) {
   GateId x = net.AddInput("a");
   const Cell* inv = lib.ByNameOrThrow("INV");
   for (int i = 0; i < 4; ++i) {
-    x = net.AddGate(inv, {x}, "i" + std::to_string(i));
+    x = net.AddGate(inv, {x}, IndexedName("i", i));
   }
   net.AddOutput("y", x);
   std::vector<double> scale(net.NumElements(), 1.0);

@@ -3,8 +3,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -374,12 +376,16 @@ TEST(Fleet, RouterOverTcpShards) {
 
 // A shard impostor that accepts real connections and then misbehaves: either
 // writes exactly half of a valid response frame and closes (a daemon dying
-// mid-send), or reads requests and never answers at all (a wedged daemon).
+// mid-send), reads requests and never answers at all (a wedged daemon), or
+// answers each request with whatever `script` returns — a script can act on
+// the router (drain, restore) exactly between two replays of one request.
 class MisbehavingShard {
  public:
-  enum class Mode { kHalfFrame, kNeverReplies };
+  enum class Mode { kHalfFrame, kNeverReplies, kScripted };
+  using Script = std::function<ServiceResponse()>;
 
-  MisbehavingShard(const std::string& path, Mode mode) : mode_(mode) {
+  MisbehavingShard(const std::string& path, Mode mode, Script script = {})
+      : mode_(mode), script_(std::move(script)) {
     std::string effective;
     listen_fd_ = BindAndListen(ParseServiceAddress(path), 8, &effective);
     thread_ = std::thread([this] { Loop(); });
@@ -411,6 +417,9 @@ class MisbehavingShard {
                 ::write(fd, frame.data(), frame.size() / 2);
             break;  // die mid-response
           }
+          if (mode_ == Mode::kScripted) {
+            WriteFrame(fd, SerializeResponse(script_()));
+          }
           // kNeverReplies: swallow the request, keep the peer waiting.
         }
       } catch (const FrameError&) {
@@ -420,6 +429,7 @@ class MisbehavingShard {
   }
 
   const Mode mode_;
+  const Script script_;
   int listen_fd_ = -1;
   std::thread thread_;
   std::atomic<int> active_fd_{-1};
@@ -548,6 +558,63 @@ TEST(Fleet, AllShardsUnreachableYieldsTypedUnavailable) {
   }
   router.Shutdown();
   router.Wait();
+}
+
+// ---------------------------------------------------------------------------
+// Failover across a rolling restart
+// ---------------------------------------------------------------------------
+
+// One request bounces off shard A while A restarts, then — after A is
+// restored — off shard B while B restarts. The router must replay it on A
+// rather than answer "unavailable" from the exclusions it collected
+// before A came back.
+TEST(Fleet, ReplayReachesShardRestoredAfterItBounced) {
+  FleetRouter* router = nullptr;
+  std::mutex mu;
+  std::vector<int> bounced;  // shards in bounce order, guarded by mu
+  const auto script = [&](int shard) -> ServiceResponse {
+    std::lock_guard<std::mutex> lock(mu);
+    const ServiceResponse draining{0, "shutting_down", "",
+                                   "daemon is draining",
+                                   ToString(ErrorCode::kUnavailable)};
+    if (bounced.empty()) {
+      router->DrainShard(shard);  // A's restart begins
+      bounced.push_back(shard);
+      return draining;
+    }
+    if (bounced.size() == 1 && shard != bounced[0]) {
+      router->RestoreShard(bounced[0]);  // A is back ...
+      router->DrainShard(shard);         // ... and B's restart begins
+      bounced.push_back(shard);
+      return draining;
+    }
+    return ServiceResponse{
+        0, "ok", "{\"shard\":" + std::to_string(shard) + "}", "", ""};
+  };
+  const std::string path0 = TestSocket("bounce0");
+  const std::string path1 = TestSocket("bounce1");
+  MisbehavingShard shard0(path0, MisbehavingShard::Mode::kScripted,
+                          [&] { return script(0); });
+  MisbehavingShard shard1(path1, MisbehavingShard::Mode::kScripted,
+                          [&] { return script(1); });
+
+  RouterOptions ro;
+  ro.listen_address = TestSocket("bounce_router");
+  ro.shards = {path0, path1};
+  FleetRouter fleet_router(ro);
+  router = &fleet_router;
+  fleet_router.Start();
+  {
+    ServiceClient client(fleet_router.address());
+    const ServiceResponse r = client.AnalyzeSpcf("i1");
+    ASSERT_EQ(r.status, "ok") << r.error;
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(bounced.size(), 2u);
+    EXPECT_EQ(r.result_json,
+              "{\"shard\":" + std::to_string(bounced[0]) + "}");
+  }
+  fleet_router.Shutdown();
+  fleet_router.Wait();
 }
 
 TEST(Fleet, RejectsDegenerateOptions) {

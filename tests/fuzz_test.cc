@@ -109,7 +109,9 @@ TEST(FuzzFraming, MutatedFramesNeverCrash) {
       // FrameError; consuming more bytes than exist is an invariant breach.
       const std::size_t consumed = DecodeFrame(m, 1u << 20, &payload);
       ASSERT_LE(consumed, m.size());
-      if (consumed > 0) ASSERT_EQ(payload.size(), consumed - kFrameHeaderBytes);
+      if (consumed > 0) {
+        ASSERT_EQ(payload.size(), consumed - kFrameHeaderBytes);
+      }
     } catch (const FrameError&) {
     }
   });

@@ -9,6 +9,7 @@
 #include "sta/paths.h"
 #include "sta/sta.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -172,7 +173,7 @@ Network RandomNetwork(std::uint64_t seed, int num_inputs, int num_nodes) {
   Network net("rand" + std::to_string(seed));
   std::vector<NodeId> pool;
   for (int i = 0; i < num_inputs; ++i) {
-    pool.push_back(net.AddInput("i" + std::to_string(i)));
+    pool.push_back(net.AddInput(IndexedName("i", i)));
   }
   for (int g = 0; g < num_nodes; ++g) {
     const int k = static_cast<int>(rng.Range(1, 4));
@@ -187,7 +188,7 @@ Network RandomNetwork(std::uint64_t seed, int num_inputs, int num_nodes) {
   }
   const int outs = std::min<int>(4, static_cast<int>(pool.size()));
   for (int o = 0; o < outs; ++o) {
-    net.AddOutput("o" + std::to_string(o),
+    net.AddOutput(IndexedName("o", o),
                   pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
   }
   return net;

@@ -11,6 +11,7 @@
 #include "sta/paths.h"
 #include "suite/structured.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -62,10 +63,10 @@ Network RippleComparator(int bits) {
   std::vector<NodeId> a(static_cast<std::size_t>(bits));
   std::vector<NodeId> b(static_cast<std::size_t>(bits));
   for (int i = 0; i < bits; ++i) {
-    a[static_cast<std::size_t>(i)] = net.AddInput("a" + std::to_string(i));
+    a[static_cast<std::size_t>(i)] = net.AddInput(IndexedName("a", i));
   }
   for (int i = 0; i < bits; ++i) {
-    b[static_cast<std::size_t>(i)] = net.AddInput("b" + std::to_string(i));
+    b[static_cast<std::size_t>(i)] = net.AddInput(IndexedName("b", i));
   }
   NodeId res = net.AddNode({}, Sop::Const1(0), "res_init");
   for (int i = 0; i < bits; ++i) {  // LSB last => MSB priority via nesting
@@ -394,7 +395,7 @@ Network RandomNetwork(std::uint64_t seed) {
   std::vector<NodeId> pool;
   const int ni = 4 + static_cast<int>(rng.Below(5));
   for (int i = 0; i < ni; ++i) {
-    pool.push_back(net.AddInput("i" + std::to_string(i)));
+    pool.push_back(net.AddInput(IndexedName("i", i)));
   }
   const int nodes = 12 + static_cast<int>(rng.Below(18));
   for (int g = 0; g < nodes; ++g) {
@@ -409,7 +410,7 @@ Network RandomNetwork(std::uint64_t seed) {
     pool.push_back(net.AddNode(fanins, Sop::FromTruthTable(tt)));
   }
   for (int o = 0; o < 3 && o < static_cast<int>(pool.size()); ++o) {
-    net.AddOutput("o" + std::to_string(o),
+    net.AddOutput(IndexedName("o", o),
                   pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
   }
   return net;

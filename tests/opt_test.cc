@@ -13,6 +13,7 @@
 #include "opt/genome.h"
 #include "opt/nsga2.h"
 #include "opt/optimizer.h"
+#include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "suite/circuit_gen.h"
@@ -324,7 +325,8 @@ class FakeEvaluator : public CandidateEvaluator {
       key += "all";
     } else {
       for (std::size_t i = 0; i < c.scope.size(); ++i) {
-        key += (i ? "," : "") + std::to_string(c.scope[i]);
+        if (i > 0) key += ',';
+        key += std::to_string(c.scope[i]);
       }
     }
     return key;
@@ -603,17 +605,6 @@ TEST(Optimizer, DaemonFrontIsByteIdenticalToInProcess) {
   const Network ti = GenerateCircuit(PaperCircuitByName("cmb").spec);
   const Library lib = Lsi10kLike();
 
-  OptimizerOptions options;
-  options.population = 6;
-  options.generations = 2;
-  options.seed = 2009;
-  options.target_yield = 0.9;
-  OptEvalConfig config;
-  config.yield_trials = 300;
-
-  const std::string local = EncodeParetoFrontJson(
-      "cmb", options, OptimizeCircuit(ti, lib, options, config));
-
   ServerOptions server_options;
   server_options.listen_address = TestSocket("opt");
   server_options.num_workers = 1;
@@ -621,34 +612,44 @@ TEST(Optimizer, DaemonFrontIsByteIdenticalToInProcess) {
   server.Start();
   {
     ServiceClient client(server_options.listen_address);
+    // The default seed, and one where the yield oracle's seed matters: the
+    // daemon seeds the oracle with the request seed, so the in-process side
+    // does too (as `speedmask_cli optimize --seed` does).
+    for (const std::uint64_t seed : {std::uint64_t{2009}, std::uint64_t{7}}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed);
+      OptimizerOptions options;
+      options.population = 6;
+      options.generations = 2;
+      options.seed = seed;
+      options.target_yield = 0.9;
+      OptEvalConfig config;
+      config.yield_trials = 300;
+      config.yield_seed = options.seed;
 
-    // Client-side search, daemon-evaluated candidates.
-    DaemonEvaluator remote(client, "cmb", ti, config);
-    const std::string via_daemon = EncodeParetoFrontJson(
-        "cmb", options, RunMaskingOptimizer(remote, options));
-    EXPECT_EQ(local, via_daemon);
+      const std::string local = EncodeParetoFrontJson(
+          "cmb", options, OptimizeCircuit(ti, lib, options, config));
 
-    // Whole search server-side via optimize_masking.
-    ServiceRequest request;
-    request.method = ServiceMethod::kOptimizeMasking;
-    request.circuit_name = "cmb";
-    request.target_yield = options.target_yield;
-    request.population = options.population;
-    request.generations = options.generations;
-    request.seed = options.seed;
-    request.trials = config.yield_trials;
-    request.sigma = config.sigma;
-    const ServiceResponse response = client.Call(request);
-    ASSERT_TRUE(response.ok()) << response.error;
-    EXPECT_EQ(response.result_json, local);
+      // Whole search server-side via optimize_masking.
+      ServiceRequest request;
+      request.method = ServiceMethod::kOptimizeMasking;
+      request.circuit_name = "cmb";
+      request.target_yield = options.target_yield;
+      request.population = options.population;
+      request.generations = options.generations;
+      request.seed = options.seed;
+      request.trials = config.yield_trials;
+      request.sigma = config.sigma;
+      const ServiceResponse response = client.Call(request);
+      ASSERT_TRUE(response.ok()) << response.error;
+      EXPECT_EQ(response.result_json, local);
 
-    // Second call replays from the content-addressed cache, same bytes.
-    ServiceRequest again = request;
-    again.id = 0;
-    const ServiceResponse cached = client.Call(again);
-    ASSERT_TRUE(cached.ok());
-    EXPECT_EQ(cached.result_json, local);
-
+      // Second call replays from the content-addressed cache, same bytes.
+      ServiceRequest again = request;
+      again.id = 0;
+      const ServiceResponse cached = client.Call(again);
+      ASSERT_TRUE(cached.ok());
+      EXPECT_EQ(cached.result_json, local);
+    }
     client.Shutdown();
   }
   server.Wait();

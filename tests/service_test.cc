@@ -550,7 +550,7 @@ TEST(Service, WarmManagerSurvivesGcInsteadOfReset) {
     const Json& w = workers->AsArray()[0];
     EXPECT_GE(w.GetUint64("gc_runs", 0), 1u);
     EXPECT_GE(w.GetUint64("nodes", 0), 1u);  // terminal is always live
-    EXPECT_EQ(w.GetUint64("reorder_runs", 99), 0u);  // warm_reorder is off
+    EXPECT_EQ(w.GetUint64("reorder_runs", 99), 0u);  // the daemon never sifts
 
     EXPECT_TRUE(client.Shutdown().ok());
   }

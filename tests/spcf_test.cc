@@ -8,6 +8,7 @@
 #include "spcf/spcf.h"
 #include "sta/sta.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -218,7 +219,7 @@ Network RandomNetwork(std::uint64_t seed) {
   std::vector<NodeId> pool;
   const int num_inputs = 3 + static_cast<int>(rng.Below(6));  // 3..8
   for (int i = 0; i < num_inputs; ++i) {
-    pool.push_back(net.AddInput("i" + std::to_string(i)));
+    pool.push_back(net.AddInput(IndexedName("i", i)));
   }
   const int nodes = 10 + static_cast<int>(rng.Below(20));
   for (int g = 0; g < nodes; ++g) {
@@ -233,7 +234,7 @@ Network RandomNetwork(std::uint64_t seed) {
     pool.push_back(net.AddNode(fanins, Sop::FromTruthTable(tt)));
   }
   for (int o = 0; o < 3 && o < static_cast<int>(pool.size()); ++o) {
-    net.AddOutput("o" + std::to_string(o),
+    net.AddOutput(IndexedName("o", o),
                   pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
   }
   return net;
@@ -302,7 +303,7 @@ TEST(Spcf, NonCriticalOutputsHaveEmptySigma) {
   const GateId shallow = net.AddGate(and2, {a, b}, "shallow");
   GateId chain = shallow;
   for (int i = 0; i < 6; ++i) {
-    chain = net.AddGate(inv, {chain}, "c" + std::to_string(i));
+    chain = net.AddGate(inv, {chain}, IndexedName("c", i));
   }
   net.AddOutput("fast", shallow);
   net.AddOutput("slow", chain);
