@@ -36,7 +36,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -44,11 +43,11 @@
 #include <vector>
 
 #include "fleet/router.h"
-#include "harness/bench_runner.h"
-#include "support/chaos.h"
 #include "service/client.h"
 #include "service/json.h"
 #include "service/server.h"
+#include "support/bench_runner.h"
+#include "support/chaos.h"
 #include "util/timer.h"
 
 namespace sm {
@@ -491,12 +490,7 @@ int Main(int argc, char** argv) {
     doc.Set("regression_detected", regression_detected);
     doc.Set("router_stats", Json::Parse(soak.router_stats_json));
     doc.Set("ok", all_ok);
-    std::ofstream out(opts.json_path);
-    if (!out) {
-      std::cerr << "cannot write " << opts.json_path << "\n";
-      return 1;
-    }
-    out << doc.Dump() << "\n";
+    WriteBenchJson(opts.json_path, doc);
   }
 
   return all_ok ? 0 : 1;

@@ -13,16 +13,15 @@
 //   --smoke     reduced circuit list for CI
 //   --json=PATH result dump (default BENCH_inject.json)
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "harness/bench_runner.h"
 #include "harness/flow.h"
 #include "harness/inject.h"
 #include "liblib/lsi10k.h"
 #include "suite/paper_suite.h"
+#include "support/bench_runner.h"
 #include "util/timer.h"
 
 namespace sm {
@@ -105,39 +104,37 @@ int Main(int argc, char** argv) {
     all_verified = all_verified && row.verified;
   }
 
-  std::ofstream out(opts.json_path);
-  if (!out.good()) {
-    std::cerr << "cannot write " << opts.json_path << "\n";
-    return 1;
-  }
-  out << "{\n  \"bench\": \"inject_campaign\",\n";
-  out << "  \"smoke\": " << (opts.smoke ? "true" : "false") << ",\n";
-  out << "  \"guarantee_holds\": " << (all_held ? "true" : "false") << ",\n";
-  out << "  \"deterministic_1v8\": " << (all_identical ? "true" : "false")
-      << ",\n";
-  out << "  \"circuits\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
+  Json doc = Json::MakeObject();
+  doc.Set("bench", "inject_campaign");
+  doc.Set("smoke", opts.smoke);
+  doc.Set("guarantee_holds", all_held);
+  doc.Set("deterministic_1v8", all_identical);
+  Json circuits = Json::MakeArray();
+  for (const Row& row : rows) {
     const InjectionCampaignResult& c = row.campaign;
-    out << "    {\"name\": \"" << JsonEscape(row.name) << "\""
-        << ", \"gates\": " << row.gates
-        << ", \"verified\": " << (row.verified ? "true" : "false")
-        << ", \"sites\": " << c.sites << ", \"trials\": " << c.trials
-        << ", \"benign\": " << c.benign << ", \"masked\": " << c.masked
-        << ", \"escapes\": " << c.escapes
-        << ", \"masked_events\": " << c.masked_events
-        << ", \"clock\": " << c.clock
-        << ", \"protected_clock\": " << c.protected_clock
-        << ", \"delta\": " << c.delta
-        << ", \"identical_1v8\": " << (row.identical_1v8 ? "true" : "false")
-        << ", \"flow_seconds\": " << row.flow_seconds
-        << ", \"campaign_seconds\": " << c.seconds
-        << ", \"words_simulated\": " << c.words_simulated
-        << ", \"lane_utilization\": " << c.lane_utilization
-        << ", \"trials_per_second\": " << c.trials_per_second << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+    Json entry = Json::MakeObject();
+    entry.Set("name", row.name);
+    entry.Set("gates", row.gates);
+    entry.Set("verified", row.verified);
+    entry.Set("sites", c.sites);
+    entry.Set("trials", c.trials);
+    entry.Set("benign", c.benign);
+    entry.Set("masked", c.masked);
+    entry.Set("escapes", c.escapes);
+    entry.Set("masked_events", c.masked_events);
+    entry.Set("clock", c.clock);
+    entry.Set("protected_clock", c.protected_clock);
+    entry.Set("delta", c.delta);
+    entry.Set("identical_1v8", row.identical_1v8);
+    entry.Set("flow_seconds", row.flow_seconds);
+    entry.Set("campaign_seconds", c.seconds);
+    entry.Set("words_simulated", c.words_simulated);
+    entry.Set("lane_utilization", c.lane_utilization);
+    entry.Set("trials_per_second", c.trials_per_second);
+    circuits.Append(std::move(entry));
   }
-  out << "  ]\n}\n";
+  doc.Set("circuits", std::move(circuits));
+  WriteBenchJson(opts.json_path, doc);
 
   if (!all_verified) std::cerr << "FAIL: a flow failed formal verification\n";
   if (!all_held) std::cerr << "FAIL: the masking guarantee was broken\n";

@@ -25,16 +25,15 @@
 //   managers (the suite ops gate must hold either way); the reorder suite
 //   itself always runs its four fixed configurations.
 #include <cmath>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
-#include "harness/bench_runner.h"
 #include "liblib/lsi10k.h"
 #include "map/tech_map.h"
 #include "spcf/spcf.h"
 #include "sta/sta.h"
 #include "suite/paper_suite.h"
+#include "support/bench_runner.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace sm {
@@ -87,19 +86,20 @@ struct WorkloadStats {
   }
 };
 
-std::string JsonObject(const WorkloadStats& w) {
-  std::ostringstream out;
-  out << "{\"ite_recursions\": " << w.ops << ", \"nodes\": " << w.nodes
-      << ", \"peak_nodes\": " << w.peak_nodes
-      << ", \"reclaimed_nodes\": " << w.reclaimed
-      << ", \"gc_runs\": " << w.gc_runs
-      << ", \"reorder_runs\": " << w.reorder_runs
-      << ", \"reorder_swaps\": " << w.reorder_swaps
-      << ", \"cache_hits\": " << w.cache_hits
-      << ", \"cache_misses\": " << w.cache_misses
-      << ", \"unique_probes\": " << w.unique_probes
-      << ", \"seconds\": " << w.seconds << "}";
-  return out.str();
+Json ToJson(const WorkloadStats& w) {
+  Json obj = Json::MakeObject();
+  obj.Set("ite_recursions", w.ops);
+  obj.Set("nodes", w.nodes);
+  obj.Set("peak_nodes", w.peak_nodes);
+  obj.Set("reclaimed_nodes", w.reclaimed);
+  obj.Set("gc_runs", w.gc_runs);
+  obj.Set("reorder_runs", w.reorder_runs);
+  obj.Set("reorder_swaps", w.reorder_swaps);
+  obj.Set("cache_hits", w.cache_hits);
+  obj.Set("cache_misses", w.cache_misses);
+  obj.Set("unique_probes", w.unique_probes);
+  obj.Set("seconds", w.seconds);
+  return obj;
 }
 
 // Manager options for Table 1 rows when --reorder is given: one reordering
@@ -268,18 +268,17 @@ ReorderSuite RunReorderSuite(const PaperCircuitInfo& info, int threads) {
   return suite;
 }
 
-std::string JsonObject(const ReorderSuite& s) {
-  std::ostringstream out;
-  out << "{\n    \"circuit\": \"" << JsonEscape(s.circuit)
-      << "\",\n    \"off\": " << JsonObject(s.off.stats)
-      << ",\n    \"gc_only\": " << JsonObject(s.gc_only.stats)
-      << ",\n    \"once\": " << JsonObject(s.once.stats)
-      << ",\n    \"auto\": " << JsonObject(s.auto_row.stats)
-      << ",\n    \"critical_minterms\": " << s.off.critical_minterms
-      << ",\n    \"gc_peak_reduction_percent\": " << s.gc_peak_reduction_percent
-      << ",\n    \"sifting_gain_percent\": " << s.sifting_gain_percent
-      << "\n  }";
-  return out.str();
+Json ToJson(const ReorderSuite& s) {
+  Json obj = Json::MakeObject();
+  obj.Set("circuit", s.circuit);
+  obj.Set("off", ToJson(s.off.stats));
+  obj.Set("gc_only", ToJson(s.gc_only.stats));
+  obj.Set("once", ToJson(s.once.stats));
+  obj.Set("auto", ToJson(s.auto_row.stats));
+  obj.Set("critical_minterms", s.off.critical_minterms);
+  obj.Set("gc_peak_reduction_percent", s.gc_peak_reduction_percent);
+  obj.Set("sifting_gain_percent", s.sifting_gain_percent);
+  return obj;
 }
 
 // The widest circuit of the active list (most primary inputs): reordering
@@ -306,34 +305,29 @@ int Main(int argc, char** argv) {
   const ReorderSuite reorder = RunReorderSuite(WidestCircuit(infos),
                                                opts.threads);
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"micro_bdd\",\n  \"smoke\": "
-       << (opts.smoke ? "true" : "false")
-       << ",\n  \"reorder\": " << (opts.reorder ? "true" : "false")
-       << ",\n  \"threads\": " << opts.threads << ",\n  \"table1_suite\": "
-       << JsonObject(table1) << ",\n  \"kernels\": {\n    \"parity64\": "
-       << JsonObject(parity) << ",\n    \"carry_chain24\": "
-       << JsonObject(carry) << ",\n    \"sop_stress\": " << JsonObject(sop)
-       << "\n  },\n  \"reorder_suite\": " << JsonObject(reorder);
+  Json doc = Json::MakeObject();
+  doc.Set("bench", "micro_bdd");
+  doc.Set("smoke", opts.smoke);
+  doc.Set("reorder", opts.reorder);
+  doc.Set("threads", opts.threads);
+  doc.Set("table1_suite", ToJson(table1));
+  Json kernels = Json::MakeObject();
+  kernels.Set("parity64", ToJson(parity));
+  kernels.Set("carry_chain24", ToJson(carry));
+  kernels.Set("sop_stress", ToJson(sop));
+  doc.Set("kernels", std::move(kernels));
+  doc.Set("reorder_suite", ToJson(reorder));
   if (!opts.smoke) {
-    const double reduction =
-        100.0 *
-        (1.0 - static_cast<double>(table1.ops) /
-                   static_cast<double>(kBaselineTable1Ops));
-    json << ",\n  \"baseline_table1\": {\"ite_recursions\": "
-         << kBaselineTable1Ops
-         << ", \"seconds\": " << kBaselineTable1Seconds
-         << "},\n  \"ite_reduction_percent\": " << reduction;
+    Json baseline = Json::MakeObject();
+    baseline.Set("ite_recursions", kBaselineTable1Ops);
+    baseline.Set("seconds", kBaselineTable1Seconds);
+    doc.Set("baseline_table1", std::move(baseline));
+    doc.Set("ite_reduction_percent",
+            100.0 * (1.0 - static_cast<double>(table1.ops) /
+                               static_cast<double>(kBaselineTable1Ops)));
   }
-  json << "\n}\n";
-
-  std::cout << json.str();
-  std::ofstream out(opts.json_path);
-  if (!out) {
-    std::cerr << "cannot write " << opts.json_path << "\n";
-    return 1;
-  }
-  out << json.str();
+  std::cout << doc.Dump() << "\n";
+  WriteBenchJson(opts.json_path, doc);
 
   if (!opts.smoke && table1.ops * 4 > kBaselineTable1Ops * 3) {
     std::cerr << "!! kernel regression: " << table1.ops

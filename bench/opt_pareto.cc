@@ -15,15 +15,14 @@
 //
 // stdout carries only deterministic values (fronts, overheads, yields);
 // wall-clock times go to stderr and the JSON dump.
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
-#include "harness/bench_runner.h"
 #include "harness/optimize.h"
 #include "harness/table.h"
 #include "liblib/lsi10k.h"
 #include "suite/paper_suite.h"
+#include "support/bench_runner.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
@@ -72,45 +71,40 @@ std::string FormatScope(const ParetoPoint& p) {
   return out.str();
 }
 
-void WriteJson(const std::string& path, const std::vector<OptRow>& rows,
-               int threads, double wall_seconds, bool determinism_identical,
-               std::size_t circuits_passing, bool spot_clean) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n  \"bench\": \"opt_pareto\",\n  \"threads\": " << threads
-      << ",\n  \"wall_seconds\": " << wall_seconds
-      << ",\n  \"determinism_identical\": "
-      << (determinism_identical ? "true" : "false")
-      << ",\n  \"circuits_with_20pct_cut\": " << circuits_passing
-      << ",\n  \"spot_checks_clean\": " << (spot_clean ? "true" : "false")
-      << ",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const OptRow& row = rows[i];
+Json ToJson(const std::vector<OptRow>& rows, int threads, double wall_seconds,
+            bool determinism_identical, std::size_t circuits_passing,
+            bool spot_clean) {
+  Json doc = Json::MakeObject();
+  doc.Set("bench", "opt_pareto");
+  doc.Set("threads", threads);
+  doc.Set("wall_seconds", wall_seconds);
+  doc.Set("determinism_identical", determinism_identical);
+  doc.Set("circuits_with_20pct_cut", circuits_passing);
+  doc.Set("spot_checks_clean", spot_clean);
+  Json out = Json::MakeArray();
+  for (const OptRow& row : rows) {
     const OptimizeResult& r = row.result;
-    const ParetoPoint* best = row.BestAtBaselineYield();
-    out << "    {\"circuit\": \"" << JsonEscape(row.circuit)
-        << "\", \"target_yield\": " << row.target_yield
-        << ", \"baseline_overhead\": " << r.baseline.Overhead()
-        << ", \"baseline_yield\": " << r.baseline.yield_protected
-        << ", \"front_size\": " << r.front.size()
-        << ", \"distinct_evaluations\": " << r.distinct_evaluations
-        << ", \"feasible\": " << r.feasible
-        << ", \"spot_checks\": " << r.spot_checks
-        << ", \"spot_failures\": " << r.spot_failures;
-    if (best != nullptr) {
-      out << ", \"best_overhead\": " << best->eval.Overhead()
-          << ", \"best_yield\": " << best->eval.yield_protected
-          << ", \"best_config\": \"" << JsonEscape(CanonicalGenomeKey(
-                 best->genome))
-          << "\", \"cut_percent\": " << row.CutPercent();
+    Json entry = Json::MakeObject();
+    entry.Set("circuit", row.circuit);
+    entry.Set("target_yield", row.target_yield);
+    entry.Set("baseline_overhead", r.baseline.Overhead());
+    entry.Set("baseline_yield", r.baseline.yield_protected);
+    entry.Set("front_size", r.front.size());
+    entry.Set("distinct_evaluations", r.distinct_evaluations);
+    entry.Set("feasible", r.feasible);
+    entry.Set("spot_checks", r.spot_checks);
+    entry.Set("spot_failures", r.spot_failures);
+    if (const ParetoPoint* best = row.BestAtBaselineYield()) {
+      entry.Set("best_overhead", best->eval.Overhead());
+      entry.Set("best_yield", best->eval.yield_protected);
+      entry.Set("best_config", CanonicalGenomeKey(best->genome));
+      entry.Set("cut_percent", row.CutPercent());
     }
-    out << ", \"seconds\": " << row.seconds << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+    entry.Set("seconds", row.seconds);
+    out.Append(std::move(entry));
   }
-  out << "  ]\n}\n";
+  doc.Set("rows", std::move(out));
+  return doc;
 }
 
 int Main(int argc, char** argv) {
@@ -223,8 +217,9 @@ int Main(int argc, char** argv) {
             << "s, per-search total " << per_run << "s\n";
 
   if (!opts.json_path.empty()) {
-    WriteJson(opts.json_path, rows, opts.threads, wall_seconds,
-              determinism_identical, circuits_passing, spot_clean);
+    WriteBenchJson(opts.json_path,
+                   ToJson(rows, opts.threads, wall_seconds,
+                          determinism_identical, circuits_passing, spot_clean));
   }
   return (circuits_passing >= required && determinism_identical && spot_clean)
              ? 0

@@ -32,7 +32,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -40,10 +39,10 @@
 #include <vector>
 
 #include "fleet/fleet.h"
-#include "harness/bench_runner.h"
 #include "service/client.h"
 #include "service/json.h"
 #include "service/server.h"
+#include "support/bench_runner.h"
 #include "util/timer.h"
 
 namespace sm {
@@ -478,12 +477,7 @@ int Main(int argc, char** argv) {
     doc.Set("fleet", ToJson(fleet));
     doc.Set("server_stats", Json::Parse(stats_json));
     doc.Set("ok", all_ok);
-    std::ofstream out(opts.json_path);
-    if (!out) {
-      std::cerr << "cannot write " << opts.json_path << "\n";
-      return 1;
-    }
-    out << doc.Dump() << "\n";
+    WriteBenchJson(opts.json_path, doc);
   }
 
   return all_ok ? 0 : 1;

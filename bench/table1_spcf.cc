@@ -17,10 +17,8 @@
 // counts), so the table is byte-identical at any thread count — with or
 // without --reorder, since each row's manager reorders deterministically.
 // Wall-clock times go to stderr and the JSON dump.
-#include <fstream>
 #include <iostream>
 
-#include "harness/bench_runner.h"
 #include "harness/table.h"
 #include "liblib/lsi10k.h"
 #include "map/mapped_bdd.h"
@@ -28,7 +26,9 @@
 #include "spcf/spcf.h"
 #include "sta/sta.h"
 #include "suite/paper_suite.h"
+#include "support/bench_runner.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace sm {
@@ -78,30 +78,33 @@ AlgoResult RunAlgorithm(const MappedNetlist& net, const TimingInfo& timing,
                     r.bdd.ite_recursions};
 }
 
-void WriteJson(const std::string& path, const std::vector<CircuitRow>& rows,
-               int threads, double wall_seconds) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return;
+Json ToJson(const AlgoResult& a) {
+  Json obj = Json::MakeObject();
+  obj.Set("minterms", a.minterms);
+  obj.Set("seconds", a.seconds);
+  obj.Set("ite_recursions", a.ops);
+  return obj;
+}
+
+Json ToJson(const std::vector<CircuitRow>& rows, int threads,
+            double wall_seconds) {
+  Json doc = Json::MakeObject();
+  doc.Set("bench", "table1_spcf");
+  doc.Set("threads", threads);
+  doc.Set("wall_seconds", wall_seconds);
+  Json out = Json::MakeArray();
+  for (const CircuitRow& r : rows) {
+    Json row = Json::MakeObject();
+    row.Set("circuit", r.name);
+    row.Set("io", r.io);
+    row.Set("area", r.area);
+    row.Set("node_based", ToJson(r.node));
+    row.Set("path_extension", ToJson(r.path));
+    row.Set("short_path", ToJson(r.shrt));
+    out.Append(std::move(row));
   }
-  auto algo = [&out](const char* key, const AlgoResult& a, const char* tail) {
-    out << "      \"" << key << "\": {\"minterms\": " << a.minterms
-        << ", \"seconds\": " << a.seconds << ", \"ite_recursions\": " << a.ops
-        << "}" << tail << "\n";
-  };
-  out << "{\n  \"bench\": \"table1_spcf\",\n  \"threads\": " << threads
-      << ",\n  \"wall_seconds\": " << wall_seconds << ",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const CircuitRow& r = rows[i];
-    out << "    {\"circuit\": \"" << JsonEscape(r.name) << "\", \"io\": \""
-        << r.io << "\", \"area\": " << r.area << ",\n";
-    algo("node_based", r.node, ",");
-    algo("path_extension", r.path, ",");
-    algo("short_path", r.shrt, "");
-    out << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+  doc.Set("rows", std::move(out));
+  return doc;
 }
 
 int Main(int argc, char** argv) {
@@ -189,7 +192,7 @@ int Main(int argc, char** argv) {
   }
 
   if (!opts.json_path.empty()) {
-    WriteJson(opts.json_path, rows, opts.threads, wall_seconds);
+    WriteBenchJson(opts.json_path, ToJson(rows, opts.threads, wall_seconds));
   }
   return 0;
 }

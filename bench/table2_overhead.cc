@@ -18,16 +18,16 @@
 // check), but the synthesized cubes differ from a --no-reorder run, so
 // byte-identity comparisons must use the same flag on both sides.
 // Wall-clock times go to stderr and the JSON dump.
-#include <fstream>
 #include <iostream>
 
-#include "harness/bench_runner.h"
 #include "harness/flow.h"
 #include "harness/table.h"
 #include "liblib/lsi10k.h"
 #include "suite/paper_suite.h"
+#include "support/bench_runner.h"
 #include "util/stats.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace sm {
@@ -41,36 +41,37 @@ struct CircuitRow {
   double seconds = 0;
 };
 
-void WriteJson(const std::string& path, const std::vector<CircuitRow>& rows,
-               int threads, double wall_seconds) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return;
+Json ToJson(const std::vector<CircuitRow>& rows, int threads,
+            double wall_seconds) {
+  Json doc = Json::MakeObject();
+  doc.Set("bench", "table2_overhead");
+  doc.Set("threads", threads);
+  doc.Set("wall_seconds", wall_seconds);
+  Json out = Json::MakeArray();
+  for (const CircuitRow& r : rows) {
+    const OverheadReport& o = r.report;
+    Json row = Json::MakeObject();
+    row.Set("circuit", o.circuit);
+    row.Set("inputs", o.num_inputs);
+    row.Set("outputs", o.num_outputs);
+    row.Set("gates", o.num_gates);
+    row.Set("critical_outputs", o.critical_outputs);
+    row.Set("critical_minterms", o.critical_minterms);
+    row.Set("slack_percent", o.slack_percent);
+    row.Set("area_percent", o.area_percent);
+    row.Set("power_percent", o.power_percent);
+    row.Set("covered", o.coverage_100 && o.safety);
+    row.Set("seconds", r.seconds);
+    row.Set("bdd_nodes", r.bdd.num_nodes);
+    row.Set("bdd_peak_nodes", r.bdd.peak_live_nodes);
+    row.Set("bdd_reclaimed_nodes", r.bdd.gc_reclaimed);
+    row.Set("bdd_gc_runs", r.bdd.gc_runs);
+    row.Set("bdd_reorder_runs", r.bdd.reorder_runs);
+    row.Set("ite_recursions", r.bdd.ite_recursions);
+    out.Append(std::move(row));
   }
-  out << "{\n  \"bench\": \"table2_overhead\",\n  \"threads\": " << threads
-      << ",\n  \"wall_seconds\": " << wall_seconds << ",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const OverheadReport& o = rows[i].report;
-    out << "    {\"circuit\": \"" << JsonEscape(o.circuit)
-        << "\", \"inputs\": " << o.num_inputs
-        << ", \"outputs\": " << o.num_outputs << ", \"gates\": " << o.num_gates
-        << ", \"critical_outputs\": " << o.critical_outputs
-        << ", \"critical_minterms\": " << o.critical_minterms
-        << ", \"slack_percent\": " << o.slack_percent
-        << ", \"area_percent\": " << o.area_percent
-        << ", \"power_percent\": " << o.power_percent << ", \"covered\": "
-        << ((o.coverage_100 && o.safety) ? "true" : "false")
-        << ", \"seconds\": " << rows[i].seconds
-        << ", \"bdd_nodes\": " << rows[i].bdd.num_nodes
-        << ", \"bdd_peak_nodes\": " << rows[i].bdd.peak_live_nodes
-        << ", \"bdd_reclaimed_nodes\": " << rows[i].bdd.gc_reclaimed
-        << ", \"bdd_gc_runs\": " << rows[i].bdd.gc_runs
-        << ", \"bdd_reorder_runs\": " << rows[i].bdd.reorder_runs
-        << ", \"ite_recursions\": " << rows[i].bdd.ite_recursions << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+  doc.Set("rows", std::move(out));
+  return doc;
 }
 
 int Main(int argc, char** argv) {
@@ -155,7 +156,7 @@ int Main(int argc, char** argv) {
             << "s, per-circuit flow total " << seconds_total << "s\n";
 
   if (!opts.json_path.empty()) {
-    WriteJson(opts.json_path, rows, opts.threads, wall_seconds);
+    WriteBenchJson(opts.json_path, ToJson(rows, opts.threads, wall_seconds));
   }
   return all_covered ? 0 : 1;
 }

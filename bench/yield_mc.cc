@@ -12,7 +12,7 @@
 // Usage: yield_mc [circuit] [trials] [sigma]
 //   circuit defaults to the largest paper-suite module (sparc_ifu_ifqdp);
 //   trials defaults to 10000.
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -21,6 +21,7 @@
 #include "harness/flow.h"
 #include "harness/yield.h"
 #include "liblib/lsi10k.h"
+#include "service/json.h"
 #include "suite/paper_suite.h"
 #include "util/timer.h"
 
@@ -99,54 +100,49 @@ int Main(int argc, char** argv) {
   const bool is_consistent = gap <= tolerance;
 
   // --- JSON report ------------------------------------------------------
-  std::printf("{\n");
-  std::printf("  \"circuit\": \"%s\",\n", circuit.c_str());
-  std::printf("  \"gates\": %zu,\n", flow.original.NumLogicGates());
-  std::printf("  \"flow_seconds\": %.3f,\n", flow_seconds);
-  std::printf("  \"model\": \"%s\",\n", ToString(base.model.kind));
-  std::printf("  \"sigma\": %g,\n", sigma);
-  std::printf("  \"clock\": %g,\n", mc.clock);
-  std::printf("  \"protected_clock\": %g,\n", mc.protected_clock);
-  std::printf("  \"trials\": %zu,\n", mc.trials);
-  std::printf("  \"threads\": {\n");
+  Json doc = Json::MakeObject();
+  doc.Set("circuit", circuit);
+  doc.Set("gates", flow.original.NumLogicGates());
+  doc.Set("flow_seconds", flow_seconds);
+  doc.Set("model", ToString(base.model.kind));
+  doc.Set("sigma", sigma);
+  doc.Set("clock", mc.clock);
+  doc.Set("protected_clock", mc.protected_clock);
+  doc.Set("trials", mc.trials);
+  Json threads = Json::MakeObject();
   for (int i = 0; i < 3; ++i) {
-    const YieldMcResult& r = by_threads[i];
-    std::printf("    \"%d\": {\"seconds\": %.3f, \"trials_per_sec\": %.1f}%s\n",
-                thread_counts[i], r.seconds, r.trials_per_second,
-                i + 1 < 3 ? "," : "");
+    Json entry = Json::MakeObject();
+    entry.Set("seconds", by_threads[i].seconds);
+    entry.Set("trials_per_sec", by_threads[i].trials_per_second);
+    threads.Set(std::to_string(thread_counts[i]), std::move(entry));
   }
-  std::printf("  },\n");
-  std::printf("  \"speedup_8_vs_1\": %.2f,\n", speedup_8v1);
-  std::printf("  \"counts_bit_identical\": %s,\n",
-              identical ? "true" : "false");
-  std::printf("  \"words_simulated\": %llu,\n",
-              static_cast<unsigned long long>(mc.words_simulated));
-  std::printf("  \"lane_utilization\": %.4f,\n", mc.lane_utilization);
-  std::printf("  \"yield_original\": %.6f,\n", mc.yield_original);
-  std::printf("  \"yield_protected\": %.6f,\n", mc.yield_protected);
-  std::printf("  \"residual_rate\": %.6g,\n", mc.residual_rate);
-  std::printf("  \"residual_stderr\": %.6g,\n", mc.residual_stderr);
-  std::printf("  \"violations_original\": %zu,\n", mc.violations_original);
-  std::printf("  \"violations_protected\": %zu,\n", mc.violations_protected);
-  std::printf("  \"masked_trials\": %zu,\n", mc.masked_trials);
-  std::printf("  \"residual_trials\": %zu,\n", mc.residual_trials);
-  std::printf("  \"masked_events\": %llu,\n",
-              static_cast<unsigned long long>(mc.masked_events));
-  std::printf("  \"importance_sampling\": {\n");
-  std::printf("    \"sigma\": %g,\n", rare.model.sigma);
-  std::printf("    \"plain_trials\": %zu,\n", rare_plain.trials);
-  std::printf("    \"plain_estimate\": %.6g,\n", rare_plain.residual_rate);
-  std::printf("    \"plain_ci95\": %.6g,\n",
-              rare_plain.ConfidenceInterval95());
-  std::printf("    \"is_trials\": %zu,\n", rare_is.trials);
-  std::printf("    \"is_estimate\": %.6g,\n", rare_is.residual_rate);
-  std::printf("    \"is_ci95\": %.6g,\n", rare_is.ConfidenceInterval95());
-  std::printf("    \"is_relative_error\": %.4f,\n", rare_is.relative_error);
-  std::printf("    \"effective_samples\": %.1f,\n",
-              rare_is.effective_samples);
-  std::printf("    \"consistent\": %s\n", is_consistent ? "true" : "false");
-  std::printf("  }\n");
-  std::printf("}\n");
+  doc.Set("threads", std::move(threads));
+  doc.Set("speedup_8_vs_1", speedup_8v1);
+  doc.Set("counts_bit_identical", identical);
+  doc.Set("words_simulated", mc.words_simulated);
+  doc.Set("lane_utilization", mc.lane_utilization);
+  doc.Set("yield_original", mc.yield_original);
+  doc.Set("yield_protected", mc.yield_protected);
+  doc.Set("residual_rate", mc.residual_rate);
+  doc.Set("residual_stderr", mc.residual_stderr);
+  doc.Set("violations_original", mc.violations_original);
+  doc.Set("violations_protected", mc.violations_protected);
+  doc.Set("masked_trials", mc.masked_trials);
+  doc.Set("residual_trials", mc.residual_trials);
+  doc.Set("masked_events", mc.masked_events);
+  Json sampling = Json::MakeObject();
+  sampling.Set("sigma", rare.model.sigma);
+  sampling.Set("plain_trials", rare_plain.trials);
+  sampling.Set("plain_estimate", rare_plain.residual_rate);
+  sampling.Set("plain_ci95", rare_plain.ConfidenceInterval95());
+  sampling.Set("is_trials", rare_is.trials);
+  sampling.Set("is_estimate", rare_is.residual_rate);
+  sampling.Set("is_ci95", rare_is.ConfidenceInterval95());
+  sampling.Set("is_relative_error", rare_is.relative_error);
+  sampling.Set("effective_samples", rare_is.effective_samples);
+  sampling.Set("consistent", is_consistent);
+  doc.Set("importance_sampling", std::move(sampling));
+  std::cout << doc.Dump() << "\n";
 
   return (identical && is_consistent) ? 0 : 1;
 }

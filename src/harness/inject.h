@@ -9,6 +9,7 @@
 
 #include "harness/flow.h"
 #include "inject/campaign.h"
+#include "service/json.h"
 
 namespace sm {
 
@@ -23,11 +24,15 @@ InjectionCampaignResult RunFaultInjectionCampaign(
 // The guard band recovered from the flow's SPCF target arrival.
 double FlowGuardBand(const FlowResult& flow);
 
-// Deterministic JSON object for one escape record: fault site/kind/delta,
-// transition index, the vector pair as "01" strings, the escaping output,
-// and the replay clocks. `protected_clock` is the sampling instant
-// ReplayEscapesAtOutputs must be called with; `clock` is the raw per-output
-// deadline ClassifyFaultTrial additionally needs.
+// One escape record as a JSON object: fault site/kind/delta, transition
+// index, the vector pair as "01" strings and the escaping output. The
+// daemon's inject_campaign result lists exactly these objects.
+Json EscapeRecordToJson(const EscapeRecord& rec);
+
+// The reproducer text for one escape record: EscapeRecordToJson plus the
+// replay clocks, dumped canonically. `protected_clock` is the sampling
+// instant ReplayEscapesAtOutputs must be called with; `clock` is the raw
+// per-output deadline ClassifyFaultTrial additionally needs.
 std::string EncodeEscapeRecordJson(const EscapeRecord& rec, double clock,
                                    double protected_clock);
 

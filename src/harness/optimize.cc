@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "harness/bench_runner.h"
 #include "harness/inject.h"
 #include "harness/yield.h"
 #include "map/tech_map.h"
@@ -10,6 +9,7 @@
 #include "spcf/spcf.h"
 #include "sta/sta.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace sm {
 

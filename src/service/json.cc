@@ -4,13 +4,53 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "harness/bench_runner.h"
-
 namespace sm {
 
 namespace {
 
 [[noreturn]] void Fail(const std::string& what) { throw JsonError(what); }
+
+// Appends `s` as the body of a JSON double-quoted literal.
+void AppendEscaped(std::string& out, const std::string& s) {
+  static const char* kHex = "0123456789abcdef";
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      default: {
+        // RFC 8259: every control character must be escaped, not just the
+        // ones with shorthand forms.
+        const unsigned char u = static_cast<unsigned char>(c);
+        if (u < 0x20) {
+          out += "\\u00";
+          out += kHex[u >> 4];
+          out += kHex[u & 0xf];
+        } else {
+          out += c;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -132,7 +172,7 @@ void Json::DumpTo(std::string& out) const {
       break;
     case Kind::kString:
       out += '"';
-      out += JsonEscape(string_);
+      AppendEscaped(out, string_);
       out += '"';
       break;
     case Kind::kArray: {
@@ -153,7 +193,7 @@ void Json::DumpTo(std::string& out) const {
         if (!first) out += ',';
         first = false;
         out += '"';
-        out += JsonEscape(k);
+        AppendEscaped(out, k);
         out += "\":";
         v.DumpTo(out);
       }
@@ -303,7 +343,7 @@ class Parser {
         case 'u': {
           const unsigned cp = ParseHex4();
           // BMP only; surrogate pairs are rejected (the protocol never emits
-          // them — JsonEscape only produces \u00XX).
+          // them — the dumper only produces \u00XX).
           if (cp >= 0xd800 && cp <= 0xdfff) Fail("surrogate in \\u escape");
           AppendUtf8(out, cp);
           break;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "harness/inject.h"
 #include "network/blif.h"
 #include "service/json.h"
 #include "suite/paper_suite.h"
@@ -65,9 +66,18 @@ SpcfAlgorithm AlgorithmFromShortName(const std::string& name) {
 
 double FiniteOrZero(double v) { return std::isfinite(v) ? v : 0.0; }
 
+// Request numbers travel as JSON doubles, which hold every integer below
+// 2^53 exactly; a larger seed would reach the daemon rounded.
+constexpr std::uint64_t kSeedBound = std::uint64_t{1} << 53;
+
+void RequireExactSeed(std::uint64_t seed) {
+  SM_REQUIRE(seed < kSeedBound, "seed must be below 2^53 = " << kSeedBound);
+}
+
 }  // namespace
 
 std::string SerializeRequest(const ServiceRequest& request) {
+  RequireExactSeed(request.seed);
   Json obj = Json::MakeObject();
   obj.Set("id", request.id);
   obj.Set("method", ToString(request.method));
@@ -141,6 +151,7 @@ ServiceRequest ParseRequest(const std::string& payload) {
     r.trials = doc.GetUint64("trials", 2000);
     r.sigma = doc.GetDouble("sigma", 0.05);
     r.seed = doc.GetUint64("seed", 2009);
+    RequireExactSeed(r.seed);
     r.strategy =
         FaultSiteStrategyFromString(doc.GetStringOr("strategy", "exhaustive"));
     r.fault = FaultKindFromString(doc.GetStringOr("fault", "permanent"));
@@ -357,17 +368,6 @@ std::string EncodeYieldResult(const FlowResult& flow,
   return obj.Dump();
 }
 
-namespace {
-
-std::string BitString(const std::vector<bool>& bits) {
-  std::string s;
-  s.reserve(bits.size());
-  for (const bool b : bits) s.push_back(b ? '1' : '0');
-  return s;
-}
-
-}  // namespace
-
 std::string EncodeInjectResult(const FlowResult& flow,
                                const ServiceRequest& request,
                                const InjectionCampaignResult& campaign) {
@@ -387,20 +387,7 @@ std::string EncodeInjectResult(const FlowResult& flow,
   obj.Set("guarantee_holds", campaign.GuaranteeHolds());
   Json records = Json::MakeArray();
   for (const EscapeRecord& rec : campaign.escape_records) {
-    Json entry = Json::MakeObject();
-    entry.Set("trial", rec.trial);
-    entry.Set("site", static_cast<std::uint64_t>(rec.site));
-    entry.Set("site_name", rec.site_name);
-    entry.Set("kind", ToString(rec.kind));
-    entry.Set("transition_index", rec.transition_index);
-    entry.Set("delta", rec.delta);
-    entry.Set("campaign_delta", rec.campaign_delta);
-    entry.Set("previous", BitString(rec.previous));
-    entry.Set("next", BitString(rec.next));
-    entry.Set("output_index", rec.output_index);
-    entry.Set("output_name", rec.output_name);
-    entry.Set("shrunk", rec.shrunk);
-    records.Append(std::move(entry));
+    records.Append(EscapeRecordToJson(rec));
   }
   obj.Set("escape_records", std::move(records));
   return obj.Dump();

@@ -50,4 +50,25 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+// Runs row(i) for every i in [0, n) across `threads` pool workers and
+// returns the results in index order. Row must be default-constructible and
+// move-assignable. Exceptions are rethrown in index order (first failing
+// row wins), matching the serial loop's behaviour. Each row writes only its
+// own slot, so the result is identical at any thread count whenever row(i)
+// is a pure function of i.
+template <typename Fn>
+auto ParallelRows(std::size_t n, int threads, Fn&& row)
+    -> std::vector<decltype(row(std::size_t{0}))> {
+  std::vector<decltype(row(std::size_t{0}))> rows(n);
+  if (threads <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) rows[i] = row(i);
+    return rows;
+  }
+  ThreadPool pool(threads);
+  pool.ParallelFor(0, n, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) rows[i] = row(i);
+  });
+  return rows;
+}
+
 }  // namespace sm

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/bench_runner.h"
 #include "harness/flow.h"
 #include "harness/table.h"
 #include "liblib/lsi10k.h"
@@ -104,72 +103,7 @@ TEST(Flow, BddNodeLimitSurfacesAsTypedError) {
   EXPECT_THROW(RunMaskingFlow(ti, lib, options), BddOverflowError);
 }
 
-TEST(BenchRunner, ParsesFlags) {
-  const char* argv[] = {"bench", "--threads=8", "--json=out.json", "--smoke"};
-  const BenchOptions o = ParseBenchArgs(4, const_cast<char**>(argv));
-  EXPECT_EQ(o.threads, 8);
-  EXPECT_EQ(o.json_path, "out.json");
-  EXPECT_TRUE(o.smoke);
-
-  const char* none[] = {"bench"};
-  const BenchOptions d = ParseBenchArgs(1, const_cast<char**>(none));
-  EXPECT_EQ(d.threads, 1);
-  EXPECT_TRUE(d.json_path.empty());
-  EXPECT_FALSE(d.smoke);
-}
-
-TEST(BenchRunner, RejectsMalformedFlags) {
-  auto parse = [](std::vector<const char*> args) {
-    args.insert(args.begin(), "bench");
-    return ParseBenchArgs(static_cast<int>(args.size()),
-                          const_cast<char**>(args.data()));
-  };
-  EXPECT_THROW(parse({"--threads=abc"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--threads=0"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--threads="}), std::invalid_argument);
-  EXPECT_THROW(parse({"--json="}), std::invalid_argument);
-  EXPECT_THROW(parse({"--frobnicate"}), std::invalid_argument);
-  EXPECT_THROW(parse({"extra"}), std::invalid_argument);
-}
-
-TEST(BenchRunner, ParallelRowsDeterministicAcrossThreadCounts) {
-  // Each row does real BDD work in its own manager; the result vectors must
-  // be identical (bit-exact doubles included) at any thread count.
-  struct RowResult {
-    double sat_fraction = 0;
-    std::size_t ops = 0;
-    std::size_t nodes = 0;
-    bool operator==(const RowResult& o) const {
-      return sat_fraction == o.sat_fraction && ops == o.ops &&
-             nodes == o.nodes;
-    }
-  };
-  const auto row = [](std::size_t i) {
-    const int n = static_cast<int>(i % 5) + 4;
-    BddManager mgr(n);
-    BddManager::Ref f = mgr.False();
-    for (int v = 0; v < n; ++v) {
-      f = mgr.Xor(f, mgr.And(mgr.Var(v), mgr.Var((v + 1) % n)));
-    }
-    const BddStats s = mgr.Stats();
-    return RowResult{mgr.SatFraction(f), s.ite_recursions, s.num_nodes};
-  };
-  const std::vector<RowResult> serial = ParallelRows(16, 1, row);
-  const std::vector<RowResult> parallel = ParallelRows(16, 8, row);
-  ASSERT_EQ(serial.size(), parallel.size());
-  EXPECT_TRUE(serial == parallel);
-}
-
-TEST(BenchRunner, ParallelRowsRethrowsFirstFailure) {
-  EXPECT_THROW(ParallelRows(8, 4,
-                            [](std::size_t i) -> int {
-                              if (i >= 5) throw std::runtime_error("boom");
-                              return static_cast<int>(i);
-                            }),
-               std::runtime_error);
-}
-
-TEST(BenchRunner, GenerateCircuitsDeterministicAcrossThreadCounts) {
+TEST(PaperSuite, GenerateCircuitsDeterministicAcrossThreadCounts) {
   const std::vector<PaperCircuitInfo> infos = Table2SmokeCircuits();
   const std::vector<Network> serial = GenerateCircuits(infos, 1);
   const std::vector<Network> parallel = GenerateCircuits(infos, 4);
@@ -181,22 +115,6 @@ TEST(BenchRunner, GenerateCircuitsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(serial[i].NumInputs(), parallel[i].NumInputs());
     EXPECT_EQ(serial[i].NumOutputs(), parallel[i].NumOutputs());
   }
-}
-
-TEST(BenchRunner, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-}
-
-TEST(BenchRunner, JsonEscapeHandlesAllControlChars) {
-  EXPECT_EQ(JsonEscape("a\tb\rc\bd\fe"), "a\\tb\\rc\\bd\\fe");
-  // Control characters without a shorthand escape become \u00XX — RFC 8259
-  // forbids them raw inside strings.
-  EXPECT_EQ(JsonEscape(std::string("x\x01y", 3)), "x\\u0001y");
-  EXPECT_EQ(JsonEscape(std::string("\x1f", 1)), "\\u001f");
-  EXPECT_EQ(JsonEscape(std::string("a\0b", 3)), "a\\u0000b");
-  // 0x20 and above pass through untouched.
-  EXPECT_EQ(JsonEscape(" ~"), " ~");
 }
 
 }  // namespace

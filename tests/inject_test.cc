@@ -14,6 +14,7 @@
 #include "map/tech_map.h"
 #include "masking/verify.h"
 #include "network/global_bdd.h"
+#include "service/protocol.h"
 #include "spcf/spcf.h"
 #include "sta/sta.h"
 #include "suite/structured.h"
@@ -272,6 +273,51 @@ TEST(Inject, PlantedSpcfDefectEscapesAndShrinksToAReproducer) {
             std::string::npos);
   EXPECT_NE(json_text.str().find("\"shrunk\":true"), std::string::npos);
   std::filesystem::remove_all(dir);
+}
+
+TEST(Inject, ReproducerMatchesDaemonRecordBytes) {
+  // Regression: reproducers used to spell numbers with a private "%.*g"
+  // loop, writing 20 as 2e+01 where the daemon writes 20.
+  const Library lib = UnitLibrary();
+  const FlowResult flow = ComparatorFlow(lib, 4);
+  EscapeRecord rec;
+  rec.trial = 3;
+  rec.site = 7;
+  rec.site_name = "g\"7";
+  rec.kind = FaultKind::kTransient;
+  rec.transition_index = 2;
+  rec.delta = 20;
+  rec.campaign_delta = 25.5;
+  rec.previous = {true, false, true};
+  rec.next = {false, false, true};
+  rec.output_index = 1;
+  rec.output_name = "y1";
+  rec.shrunk = true;
+  InjectionCampaignResult campaign;
+  campaign.escapes = 1;
+  campaign.clock = 300;
+  campaign.protected_clock = 312.5;
+  campaign.escape_records.push_back(rec);
+
+  const std::string repro =
+      EncodeEscapeRecordJson(rec, campaign.clock, campaign.protected_clock);
+  EXPECT_NE(repro.find("\"delta\":20,"), std::string::npos) << repro;
+  EXPECT_NE(repro.find("\"clock\":300,"), std::string::npos) << repro;
+
+  // The daemon's escape_records entry, byte for byte, is the reproducer
+  // without its trailing clock fields.
+  ServiceRequest request;
+  request.method = ServiceMethod::kInjectCampaign;
+  const std::string daemon = EncodeInjectResult(flow, request, campaign);
+  const std::string open = "\"escape_records\":[";
+  const std::size_t begin = daemon.find(open);
+  const std::size_t end = daemon.rfind("]}");
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  const std::string entry =
+      daemon.substr(begin + open.size(), end - begin - open.size());
+  EXPECT_EQ(repro, entry.substr(0, entry.size() - 1) +
+                       ",\"clock\":300,\"protected_clock\":312.5}");
 }
 
 }  // namespace

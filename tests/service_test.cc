@@ -214,6 +214,26 @@ TEST(Json, StringEscapesRoundTrip) {
   EXPECT_EQ(parsed.AsString(), "aA\n\"\\");
 }
 
+TEST(Json, DumpEscapesSpecials) {
+  EXPECT_EQ(Json("plain").Dump(), "\"plain\"");
+  EXPECT_EQ(Json("a\"b\\c\nd").Dump(), "\"a\\\"b\\\\c\\nd\"");
+  // Object keys take the same escaping as string values.
+  Json obj = Json::MakeObject();
+  obj.Set("k\"ey", 1);
+  EXPECT_EQ(obj.Dump(), "{\"k\\\"ey\":1}");
+}
+
+TEST(Json, DumpEscapesAllControlChars) {
+  EXPECT_EQ(Json("a\tb\rc\bd\fe").Dump(), "\"a\\tb\\rc\\bd\\fe\"");
+  // Control characters without a shorthand escape become \u00XX — RFC 8259
+  // forbids them raw inside strings.
+  EXPECT_EQ(Json(std::string("x\x01y", 3)).Dump(), "\"x\\u0001y\"");
+  EXPECT_EQ(Json(std::string("\x1f", 1)).Dump(), "\"\\u001f\"");
+  EXPECT_EQ(Json(std::string("a\0b", 3)).Dump(), "\"a\\u0000b\"");
+  // 0x20 and above pass through untouched.
+  EXPECT_EQ(Json(" ~").Dump(), "\" ~\"");
+}
+
 // ---------------------------------------------------------------------------
 // Result cache
 // ---------------------------------------------------------------------------
@@ -308,6 +328,26 @@ TEST(Protocol, ParseRequestRejectsMalformed) {
       ParseRequest("{\"id\":1,\"method\":\"analyze_spcf\","
                    "\"circuit_name\":\"i1\",\"guard\":1.5}"),
       std::exception);
+}
+
+TEST(Protocol, SeedsAtOrAbove2To53AreRejectedAtBothEnds) {
+  // A seed travels as a JSON double; 2^53 + 1 used to arrive as 2^53.
+  ServiceRequest r;
+  r.method = ServiceMethod::kEstimateYield;
+  r.circuit_name = "cu";
+  r.seed = 9007199254740993ull;
+  EXPECT_THROW(SerializeRequest(r), std::invalid_argument);
+  r.seed = 9007199254740991ull;  // 2^53 - 1: the largest exact seed
+  EXPECT_EQ(ParseRequest(SerializeRequest(r)).seed, 9007199254740991ull);
+
+  try {
+    ParseRequest(
+        "{\"id\":1,\"method\":\"estimate_yield\",\"circuit_name\":\"cu\","
+        "\"seed\":9007199254740993}");
+    ADD_FAILURE() << "seed 2^53 + 1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("2^53"), std::string::npos);
+  }
 }
 
 TEST(Protocol, ResponseSplicesResultVerbatim) {
@@ -466,6 +506,14 @@ TEST(Service, ErrorsComeBackTyped) {
     expired.deadline_ms = 0.000001;
     const ServiceResponse late = client.Call(expired);
     EXPECT_EQ(late.status, "timeout");
+
+    // A seed the JSON number cannot carry exactly → invalid_request.
+    const ServiceResponse big_seed = ParseResponse(client.Exchange(
+        "{\"id\":5,\"method\":\"estimate_yield\",\"circuit_name\":\"cu\","
+        "\"seed\":9007199254740993}"));
+    EXPECT_EQ(big_seed.status, "error");
+    EXPECT_EQ(big_seed.code, "invalid_request");
+    EXPECT_NE(big_seed.error.find("2^53"), std::string::npos);
 
     // The daemon survived all of it.
     EXPECT_TRUE(client.AnalyzeSpcf("i1").ok());

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <vector>
 
+#include "bdd/bdd.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace sm {
 namespace {
@@ -173,6 +177,43 @@ TEST(Strings, FormatCount) {
   EXPECT_EQ(FormatCount(0), "0");
   EXPECT_EQ(FormatCount(16), "16");
   EXPECT_EQ(FormatCount(8e66), "8.00e+66");
+}
+
+TEST(ParallelRows, DeterministicAcrossThreadCounts) {
+  // Each row does real BDD work in its own manager; the result vectors must
+  // be identical (bit-exact doubles included) at any thread count.
+  struct RowResult {
+    double sat_fraction = 0;
+    std::size_t ops = 0;
+    std::size_t nodes = 0;
+    bool operator==(const RowResult& o) const {
+      return sat_fraction == o.sat_fraction && ops == o.ops &&
+             nodes == o.nodes;
+    }
+  };
+  const auto row = [](std::size_t i) {
+    const int n = static_cast<int>(i % 5) + 4;
+    BddManager mgr(n);
+    BddManager::Ref f = mgr.False();
+    for (int v = 0; v < n; ++v) {
+      f = mgr.Xor(f, mgr.And(mgr.Var(v), mgr.Var((v + 1) % n)));
+    }
+    const BddStats s = mgr.Stats();
+    return RowResult{mgr.SatFraction(f), s.ite_recursions, s.num_nodes};
+  };
+  const std::vector<RowResult> serial = ParallelRows(16, 1, row);
+  const std::vector<RowResult> parallel = ParallelRows(16, 8, row);
+  ASSERT_EQ(serial.size(), parallel.size());
+  EXPECT_TRUE(serial == parallel);
+}
+
+TEST(ParallelRows, RethrowsFirstFailure) {
+  EXPECT_THROW(ParallelRows(8, 4,
+                            [](std::size_t i) -> int {
+                              if (i >= 5) throw std::runtime_error("boom");
+                              return static_cast<int>(i);
+                            }),
+               std::runtime_error);
 }
 
 }  // namespace
