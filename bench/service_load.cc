@@ -192,7 +192,9 @@ std::unique_ptr<SpeedmaskFleet> StartFleet(int num_shards, int workers,
 // Cold-compute throughput through the router: `clients` concurrent
 // connections each run the request set once with a client-unique guard, so
 // every request is a cache miss and the compute spreads over the shards by
-// circuit. Returns requests per second.
+// circuit. Client c starts at request c of the set, so the clients do not
+// walk the circuits in lockstep and pile onto one shard at a time. Returns
+// requests per second.
 double MeasureColdThroughput(const std::string& address,
                              const std::vector<ServiceRequest>& base,
                              int clients) {
@@ -202,6 +204,8 @@ double MeasureColdThroughput(const std::string& address,
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       std::vector<ServiceRequest> mine = base;
+      const int first = c % static_cast<int>(mine.size());
+      std::rotate(mine.begin(), mine.begin() + first, mine.end());
       for (ServiceRequest& r : mine) r.guard += 1e-4 * (c + 1);
       RunSequence(address, mine, nullptr);
     });
@@ -235,12 +239,15 @@ FleetReport RunFleetPhase(bool smoke) {
   }
 
   // Compute-bound set for throughput scaling: one Monte-Carlo yield
-  // estimate per circuit (distinct circuits shard independently).
+  // estimate per circuit. Placement is fixed per shard count, and these
+  // circuits split their compute about evenly over 2 and 4 shards, so the
+  // gate measures scaling, not placement.
   std::vector<ServiceRequest> yield_set;
-  for (const ServiceRequest& base : identity) {
+  for (const char* name :
+       {"i1", "cmb", "x2", "cu", "alu2", "alu4", "frg1", "C432", "C880"}) {
     ServiceRequest r;
     r.method = ServiceMethod::kEstimateYield;
-    r.circuit_name = base.circuit_name;
+    r.circuit_name = name;
     r.guard = 0.21;
     r.trials = smoke ? 4000 : 20000;
     yield_set.push_back(r);

@@ -32,9 +32,10 @@
 //       run the analysis daemon until a client sends `shutdown`. The
 //       address is a Unix socket path or host:port (":0" = free port).
 //   speedmask_cli route --shard <addr> [--shard <addr> ...]
-//                  [--socket <path|host:port>] [--vnodes <n>]
+//                  [--socket <path|host:port>]
 //       run the fleet router in front of running shard daemons: requests
-//       are consistent-hashed by circuit onto the shards; `stats` answers
+//       are consistent-hashed by circuit onto the shards (placement follows
+//       the order of the --shard flags, not the addresses); `stats` answers
 //       an aggregated fleet document; `shutdown` drains every shard too.
 //   speedmask_cli fleet [--shards <n>] [--socket <path|host:port>]
 //                  [--workers <n>]
@@ -342,14 +343,11 @@ int CmdRoute(std::vector<std::string> args) {
   options.shards = GetFlagList(args, "--shard");
   if (options.shards.empty()) {
     std::cerr << "usage: speedmask_cli route --shard <addr> "
-                 "[--shard <addr> ...] [--socket <path|host:port>] "
-                 "[--vnodes <n>]\n";
+                 "[--shard <addr> ...] [--socket <path|host:port>]\n";
     return 2;
   }
   options.listen_address =
       GetFlag(args, "--socket").value_or("/tmp/speedmask_router.sock");
-  options.vnodes_per_shard =
-      std::stoi(GetFlag(args, "--vnodes").value_or("64"));
   FleetRouter router(std::move(options));
   router.Start();
   std::cerr << "speedmask router listening on " << router.address() << " ("

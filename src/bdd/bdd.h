@@ -437,6 +437,28 @@ class BddRef {
   BddManager::Ref ref_ = BddManager::kFalse;
 };
 
+// Attaches a cancel token to a manager for the current scope and detaches
+// it on every exit, the CancelledError unwind included, so a manager that
+// outlives the scope never keeps a dangling token pointer. Attach is a
+// no-op when either argument is null.
+class BddCancelScope {
+ public:
+  BddCancelScope() = default;
+  BddCancelScope(const BddCancelScope&) = delete;
+  BddCancelScope& operator=(const BddCancelScope&) = delete;
+  ~BddCancelScope() {
+    if (mgr_ != nullptr) mgr_->SetCancelToken(nullptr);
+  }
+  void Attach(BddManager* mgr, const CancelToken* token) {
+    if (mgr == nullptr || token == nullptr) return;
+    mgr_ = mgr;
+    mgr_->SetCancelToken(token);
+  }
+
+ private:
+  BddManager* mgr_ = nullptr;
+};
+
 // Scoped registration of a caller-owned vector of refs as GC roots. The
 // vector may be mutated while registered; it is scanned at mark time.
 class BddRootScope {

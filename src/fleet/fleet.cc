@@ -67,7 +67,6 @@ void SpeedmaskFleet::Start() {
   RouterOptions r;
   r.listen_address = options_.listen_address;
   r.shards = shard_addresses_;
-  r.vnodes_per_shard = options_.vnodes_per_shard;
   r.max_frame_bytes = options_.shard_options.max_frame_bytes;
   r.write_timeout_ms = options_.shard_options.write_timeout_ms;
   router_ = std::make_unique<FleetRouter>(std::move(r));

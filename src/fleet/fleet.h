@@ -39,7 +39,6 @@ struct FleetOptions {
   std::vector<std::string> shard_addresses;
   // Per-shard server knobs (listen_address inside is ignored).
   ServerOptions shard_options;
-  int vnodes_per_shard = 64;
 };
 
 class SpeedmaskFleet {

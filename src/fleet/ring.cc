@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "util/hash.h"
 
@@ -15,12 +14,6 @@ HashRing::HashRing(std::vector<std::string> shard_ids, int vnodes_per_shard)
   }
   if (vnodes_per_shard < 1) {
     throw std::invalid_argument("vnodes_per_shard must be >= 1");
-  }
-  std::unordered_set<std::string> seen;
-  for (const std::string& id : shard_ids_) {
-    if (!seen.insert(id).second) {
-      throw std::invalid_argument("duplicate shard id \"" + id + "\"");
-    }
   }
   vnodes_.reserve(shard_ids_.size() * static_cast<std::size_t>(vnodes_per_shard));
   for (int s = 0; s < num_shards(); ++s) {

@@ -29,8 +29,9 @@ namespace sm {
 
 class HashRing {
  public:
-  // Throws std::invalid_argument when `shard_ids` is empty, contains a
-  // duplicate, or `vnodes_per_shard` < 1.
+  // Throws std::invalid_argument when `shard_ids` is empty or
+  // `vnodes_per_shard` < 1. Ids must be distinct (unchecked here; the
+  // router names its shards s0..s{N-1}).
   HashRing(std::vector<std::string> shard_ids, int vnodes_per_shard = 64);
 
   int num_shards() const { return static_cast<int>(shard_ids_.size()); }

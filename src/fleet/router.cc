@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <set>
 #include <stdexcept>
 
 #include "service/framing.h"
@@ -33,9 +34,30 @@ struct FleetRouter::Connection {
   std::vector<std::unique_ptr<ServiceClient>> shard_clients;
 };
 
+namespace {
+
+// Virtual nodes per shard on the placement ring.
+constexpr int kVnodesPerShard = 64;
+
+// Ring names "s0".."s{N-1}" for N shard addresses, which must be distinct.
+std::vector<std::string> ShardRingNames(
+    const std::vector<std::string>& addresses) {
+  if (std::set<std::string>(addresses.begin(), addresses.end()).size() !=
+      addresses.size()) {
+    throw std::invalid_argument("duplicate shard addresses");
+  }
+  std::vector<std::string> names(addresses.size(), "s");
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    names[i] += std::to_string(i);
+  }
+  return names;
+}
+
+}  // namespace
+
 FleetRouter::FleetRouter(RouterOptions options)
     : options_(std::move(options)),
-      ring_(options_.shards, options_.vnodes_per_shard),
+      ring_(ShardRingNames(options_.shards), kVnodesPerShard),
       listen_parsed_(ParseServiceAddress(options_.listen_address)),
       drained_(options_.shards.size(), false),
       unhealthy_(options_.shards.size(), false),
@@ -186,7 +208,7 @@ std::uint64_t FleetRouter::RoutingKey(const std::string& payload) {
   }
   {
     std::lock_guard<std::mutex> lock(key_mutex_);
-    if (key_cache_.size() >= options_.key_cache_entries) key_cache_.clear();
+    if (key_cache_.size() >= kKeyCacheEntries) key_cache_.clear();
     key_cache_.emplace(std::move(memo_key), key);
   }
   return key;

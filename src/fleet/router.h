@@ -5,9 +5,11 @@
 // consistent-hashing the request circuit's structural fingerprint
 // (util/hash.h HashNetwork — the same network hash the shards' result
 // caches key on). Repeated analyses of one circuit therefore always land on
-// the same shard, hitting its warm BddManagers and result cache, and the
-// placement is a pure function of the shard list — any identically
-// configured router routes identically.
+// the same shard, hitting its warm BddManagers and result cache. The ring
+// is keyed on the logical shard names s0..s{N-1}, so placement is a pure
+// function of the shard count and the position in the shard list, never of
+// the addresses — any router with N shards routes alike, and a shard that
+// moves to a new address keeps its keys.
 //
 //   clients ──► router accept thread ── reader thread per connection
 //                    │ parse, resolve circuit, hash (memoized per circuit)
@@ -66,9 +68,9 @@ struct RouterOptions {
   // Unix socket path or "host:port"; ":0" picks a free TCP port (address()
   // reports the effective one after Start()).
   std::string listen_address = "/tmp/speedmask_router.sock";
-  // Shard daemon addresses, in ring order. At least one required.
+  // Shard daemon addresses; shard i owns ring name "s<i>". At least one
+  // required, no duplicates.
   std::vector<std::string> shards;
-  int vnodes_per_shard = 64;
   std::size_t max_frame_bytes = 16u << 20;
   int write_timeout_ms = 10'000;
   // SO_RCVTIMEO on every upstream shard connection (forward, probe, stats,
@@ -78,9 +80,6 @@ struct RouterOptions {
   // the request on the surviving ring. 0 disables (a wedged shard then
   // blocks that client connection indefinitely).
   int shard_read_timeout_ms = 0;
-  // Memoized circuit-spec -> sm_hash entries (routing skips re-parsing a
-  // repeated inline BLIF); the map is cleared when it exceeds this bound.
-  std::size_t key_cache_entries = 1024;
 };
 
 class FleetRouter {
@@ -171,6 +170,9 @@ class FleetRouter {
   std::vector<bool> unhealthy_;
   std::vector<std::uint64_t> restore_epoch_;  // RestoreShard calls per shard
 
+  // Memoized circuit-spec -> sm_hash entries (routing skips re-parsing a
+  // repeated inline BLIF); cleared when it reaches kKeyCacheEntries.
+  static constexpr std::size_t kKeyCacheEntries = 1024;
   std::mutex key_mutex_;
   std::map<std::string, std::uint64_t> key_cache_;
 

@@ -7,28 +7,6 @@
 #include "util/check.h"
 
 namespace sm {
-namespace {
-
-// Attaches a cancel token to a manager for the current scope and always
-// detaches on exit (including the CancelledError unwind), so a flow-owned
-// manager never escapes with a dangling token pointer.
-class ScopedManagerCancel {
- public:
-  ScopedManagerCancel(BddManager* mgr, const CancelToken* token)
-      : mgr_(token != nullptr ? mgr : nullptr) {
-    if (mgr_ != nullptr) mgr_->SetCancelToken(token);
-  }
-  ScopedManagerCancel(const ScopedManagerCancel&) = delete;
-  ScopedManagerCancel& operator=(const ScopedManagerCancel&) = delete;
-  ~ScopedManagerCancel() {
-    if (mgr_ != nullptr) mgr_->SetCancelToken(nullptr);
-  }
-
- private:
-  BddManager* mgr_;
-};
-
-}  // namespace
 
 void ValidateFlowOptions(const FlowOptions& options, std::size_t num_outputs) {
   SM_REQUIRE(std::isfinite(options.spcf.guard_band) &&
@@ -77,7 +55,8 @@ FlowResult RunMaskingFlowPremapped(const MappedNetlist& original,
   // reuse_manager keeps whatever token its owner attached (the daemon
   // attaches one around the whole request). Declared after `r` so the token
   // is detached before the owned manager is destroyed on unwind.
-  const ScopedManagerCancel mgr_cancel(r.mgr.get(), cancel);
+  BddCancelScope mgr_cancel;
+  mgr_cancel.Attach(r.mgr.get(), cancel);
   r.timing = AnalyzeTiming(r.original);
   if (cancel != nullptr) cancel->Check();
 

@@ -9,6 +9,7 @@
 #include "bdd/bdd_util.h"
 #include "map/mapped_bdd.h"
 #include "sim/batch_sim.h"
+#include "sta/paths.h"
 #include "sta/sta.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -33,12 +34,13 @@ constexpr std::size_t kDefaultRandomSites = 32;
 // exercising later glitches.
 constexpr std::uint64_t kTransientIndexRange = 4;
 
-// One step of the worst path through a site: gate `gate` is entered through
-// its pin `pin`.
-struct PathEdge {
-  GateId gate;
-  int pin;
-};
+// Trials per thread-pool task: one full batched run.
+constexpr std::size_t kChunk = kBatchLanes;
+// Node cap of the BDD manager that builds the sensitizing vectors.
+constexpr std::size_t kSensitizeNodeLimit = 8'000'000;
+// Escape records kept per campaign, and how many of them are shrunk.
+constexpr std::size_t kMaxEscapeRecords = 64;
+constexpr std::size_t kMaxShrinkEscapes = 4;
 
 // Per-site vector-generation context, precomputed sequentially and shared by
 // the parallel workers and the reduction.
@@ -101,33 +103,16 @@ TrialSetup MakeTrialSetup(std::size_t num_inputs, const InjectOptions& options,
 // the site along arrival-defining pins, forward along suffix-defining copy
 // fanouts. Returns the edges in head-to-terminal order; `head` receives the
 // launching element (a PI, or kInvalidGate for a tie-cell head).
-std::vector<PathEdge> WorstPathThrough(const MappedNetlist& prot,
+std::vector<PathStep> WorstPathThrough(const MappedNetlist& prot,
                                        const TimingInfo& timing,
                                        const std::vector<bool>& in_copy,
                                        const std::vector<double>& suffix,
                                        GateId site, GateId* head) {
-  std::vector<PathEdge> prefix;  // collected terminal-to-head, reversed later
-  GateId at = site;
-  *head = kInvalidGate;
-  while (!prot.IsInput(at)) {
-    const Cell& cell = prot.cell(at);
-    if (cell.IsConstant()) break;  // path launches from a tie cell
-    const auto& fin = prot.fanins(at);
-    int best_pin = 0;
-    double best = -std::numeric_limits<double>::infinity();
-    for (int p = 0; p < cell.num_pins(); ++p) {
-      const double a =
-          timing.max_arrival[fin[static_cast<std::size_t>(p)]] +
-          cell.pin_delay(p);
-      if (a > best) {
-        best = a;
-        best_pin = p;
-      }
-    }
-    prefix.push_back(PathEdge{at, best_pin});
-    at = fin[static_cast<std::size_t>(best_pin)];
-  }
-  if (prot.IsInput(at)) *head = at;
+  std::vector<PathStep> prefix = ArrivalDefiningPath(prot, timing, site);
+  // The walk's last step is its head, which enters no pin.
+  const GateId launch = prefix.back().gate;
+  *head = prot.IsInput(launch) ? launch : kInvalidGate;
+  prefix.pop_back();
   std::reverse(prefix.begin(), prefix.end());
 
   // Forward: follow the copy fanout continuing the longest suffix. Fanouts
@@ -135,7 +120,7 @@ std::vector<PathEdge> WorstPathThrough(const MappedNetlist& prot,
   // copy terminates the path at a copied output driver, never through a mux
   // (whose select-side sensitization condition would contradict Σ).
   const auto& fanouts = prot.Fanouts();
-  at = site;
+  GateId at = site;
   for (;;) {
     GateId best_gate = kInvalidGate;
     int best_pin = 0;
@@ -155,34 +140,37 @@ std::vector<PathEdge> WorstPathThrough(const MappedNetlist& prot,
       }
     }
     if (best_gate == kInvalidGate) break;
-    prefix.push_back(PathEdge{best_gate, best_pin});
+    prefix.push_back(PathStep{best_gate, best_pin});
     at = best_gate;
   }
   return prefix;
 }
 
-// Precomputes each site's targeted head input and, when options.sensitize is
-// on, a robust path-sensitizing test pattern: the conjunction over every
-// path edge of the Boolean difference of the gate's cell function with
-// respect to the entered pin (side inputs at their global functions),
-// cofactored to hold under both values of the head input. A satisfying
-// assignment of that condition plus a head flip is a single transition that
-// propagates down the whole path in transport-delay simulation — the
-// classic robust path-delay test pair, built from the repo's global BDDs.
-std::vector<SiteContext> BuildSiteContexts(const MappedNetlist& original,
-                                           const MappedNetlist& prot,
-                                           const TimingInfo& prot_nominal,
-                                           const std::vector<GateId>& sites,
-                                           const InjectOptions& options) {
+// Precomputes each site's targeted head input and a robust path-sensitizing
+// test pattern: the conjunction over every path edge of the Boolean
+// difference of the gate's cell function with respect to the entered pin
+// (side inputs at their global functions), cofactored to hold under both
+// values of the head input. A satisfying assignment of that condition plus
+// a head flip is a single transition that propagates down the whole path
+// in transport-delay simulation — the classic robust path-delay test pair,
+// built from the repo's global BDDs. Random pattern pairs almost never
+// activate a 20+-level near-critical path (every side input must be
+// non-controlling), so without it a campaign observes nothing.
+std::vector<SiteContext> BuildSiteContexts(
+    const MappedNetlist& original, const ProtectedCircuit& protected_circuit,
+    const TimingInfo& prot_nominal, const std::vector<GateId>& sites,
+    const CancelToken* cancel) {
+  const MappedNetlist& prot = protected_circuit.netlist;
   std::vector<SiteContext> ctx(sites.size());
 
-  // Membership of the copied-original subcircuit, by name (the same mapping
-  // site selection used).
+  // Membership of the copied-original subcircuit (the same mapping site
+  // selection used).
   std::vector<bool> in_copy(prot.NumElements(), false);
+  const std::vector<GateId> orig_in_prot =
+      protected_circuit.OriginalToProtected(original);
   for (GateId id = 0; id < original.NumElements(); ++id) {
     if (original.IsInput(id)) continue;
-    const GateId prot_id = prot.FindByName(original.element(id).name);
-    if (prot_id != kInvalidGate) in_copy[prot_id] = true;
+    if (orig_in_prot[id] != kInvalidGate) in_copy[orig_in_prot[id]] = true;
   }
   // Longest suffix inside the copy, by reverse topological (GateId) order.
   std::vector<double> suffix(prot.NumElements(), 0.0);
@@ -202,7 +190,7 @@ std::vector<SiteContext> BuildSiteContexts(const MappedNetlist& original,
     suffix[id] = s;
   }
 
-  std::vector<std::vector<PathEdge>> paths(sites.size());
+  std::vector<std::vector<PathStep>> paths(sites.size());
   std::vector<GateId> roots;
   for (std::size_t i = 0; i < sites.size(); ++i) {
     GateId head = kInvalidGate;
@@ -211,20 +199,19 @@ std::vector<SiteContext> BuildSiteContexts(const MappedNetlist& original,
     if (head != kInvalidGate) ctx[i].head_input = prot.InputIndex(head);
     if (!paths[i].empty()) roots.push_back(paths[i].back().gate);
   }
-  if (!options.sensitize) return ctx;
 
   try {
-    BddManager mgr(static_cast<int>(prot.NumInputs()), options.bdd_node_limit);
+    BddManager mgr(static_cast<int>(prot.NumInputs()), kSensitizeNodeLimit);
     // Local manager, destroyed with this scope — safe to attach directly.
     // CancelledError passes the BddOverflowError catch below and aborts the
     // whole campaign, as it should.
-    mgr.SetCancelToken(options.cancel);
+    mgr.SetCancelToken(cancel);
     const std::vector<BddManager::Ref> gbdd =
         BuildMappedGlobalBdds(mgr, prot, roots);
     for (std::size_t i = 0; i < sites.size(); ++i) {
       if (ctx[i].head_input < 0 || paths[i].empty()) continue;
       BddManager::Ref sens = mgr.True();
-      for (const PathEdge& e : paths[i]) {
+      for (const PathStep& e : paths[i]) {
         const Cell& cell = prot.cell(e.gate);
         const auto& fin = prot.fanins(e.gate);
         std::vector<BddManager::Ref> ins(
@@ -334,6 +321,25 @@ void ShrinkEscape(const ProtectedCircuit& protected_circuit, double clock,
   rec->shrunk = true;
 }
 
+// The scalar simulation setup of one fault: a permanent fault adds its
+// delta to every transition through the site, a transient one slows the
+// site's transition_index-th edge.
+EventSimConfig FaultSimConfig(const MappedNetlist& net, const DelayFault& fault,
+                              double clock) {
+  SM_REQUIRE(fault.site < net.NumElements() && !net.IsInput(fault.site),
+             "fault site must be a non-input element, got " << fault.site);
+  EventSimConfig cfg;
+  cfg.clock = clock;
+  if (fault.kind == FaultKind::kPermanentDelta) {
+    cfg.extra_delay.assign(net.NumElements(), 0.0);
+    cfg.extra_delay[fault.site] = fault.delta;
+  } else {
+    cfg.transient_faults.push_back(
+        TransientFault{fault.site, fault.transition_index, fault.delta});
+  }
+  return cfg;
+}
+
 }  // namespace
 
 const char* ToString(FaultSiteStrategy s) {
@@ -394,20 +400,8 @@ InjectOutcome ClassifyFaultTrial(const ProtectedCircuit& protected_circuit,
                                  std::size_t* masked_taps,
                                  const std::vector<std::size_t>* waived_outputs) {
   const MappedNetlist& prot = protected_circuit.netlist;
-  SM_REQUIRE(fault.site < prot.NumElements() && !prot.IsInput(fault.site),
-             "fault site must be a non-input element of the protected "
-             "netlist, got "
-                 << fault.site);
-  EventSimConfig cfg;
-  cfg.clock = protected_clock;
-  if (fault.kind == FaultKind::kPermanentDelta) {
-    cfg.extra_delay.assign(prot.NumElements(), 0.0);
-    cfg.extra_delay[fault.site] = fault.delta;
-  } else {
-    cfg.transient_faults.push_back(
-        TransientFault{fault.site, fault.transition_index, fault.delta});
-  }
-  const EventSimResult sim = SimulateTransition(prot, previous, next, cfg);
+  const EventSimResult sim = SimulateTransition(
+      prot, previous, next, FaultSimConfig(prot, fault, protected_clock));
 
   // Escape: a wrong value latched at a primary output the guarantee covers
   // — the one thing it says cannot happen. Waived outputs (outside the
@@ -441,18 +435,8 @@ InjectOutcome ClassifyFaultTrial(const ProtectedCircuit& protected_circuit,
 bool ReplayEscapesAtOutputs(const MappedNetlist& net, const DelayFault& fault,
                             const std::vector<bool>& previous,
                             const std::vector<bool>& next, double clock) {
-  SM_REQUIRE(fault.site < net.NumElements() && !net.IsInput(fault.site),
-             "fault site must be a non-input element, got " << fault.site);
-  EventSimConfig cfg;
-  cfg.clock = clock;
-  if (fault.kind == FaultKind::kPermanentDelta) {
-    cfg.extra_delay.assign(net.NumElements(), 0.0);
-    cfg.extra_delay[fault.site] = fault.delta;
-  } else {
-    cfg.transient_faults.push_back(
-        TransientFault{fault.site, fault.transition_index, fault.delta});
-  }
-  const EventSimResult sim = SimulateTransition(net, previous, next, cfg);
+  const EventSimResult sim =
+      SimulateTransition(net, previous, next, FaultSimConfig(net, fault, clock));
   for (const MappedNetlist::Output& o : net.outputs()) {
     if (sim.TimingErrorAt(o.driver)) return true;
   }
@@ -463,28 +447,27 @@ std::vector<GateId> SelectFaultSites(const MappedNetlist& original,
                                      const ProtectedCircuit& protected_circuit,
                                      const TimingInfo& nominal,
                                      const InjectOptions& options) {
-  const MappedNetlist& prot = protected_circuit.netlist;
   const double clock =
       options.clock < 0 ? nominal.critical_delay : options.clock;
   SM_REQUIRE(clock > 0, "clock must be positive");
   const double window = options.guard_band * clock;
 
   // Candidates are the copied-original gates, located in the protected
-  // netlist by name (integration preserves original gate names; gates swept
-  // during integration are skipped). Injecting on the original copy — never
-  // on the masking circuit, which banks slack by construction — is exactly
-  // the fault population the guarantee covers.
+  // netlist (gates swept during integration are skipped). Injecting on the
+  // original copy — never on the masking circuit, which banks slack by
+  // construction — is exactly the fault population the guarantee covers.
   struct Candidate {
     GateId prot_id;
     GateId orig_id;
     double slack;
   };
   std::vector<Candidate> candidates;
+  const std::vector<GateId> orig_in_prot =
+      protected_circuit.OriginalToProtected(original);
   for (GateId id = 0; id < original.NumElements(); ++id) {
     if (original.IsInput(id) || original.cell(id).IsConstant()) continue;
-    const GateId prot_id = prot.FindByName(original.element(id).name);
-    if (prot_id == kInvalidGate) continue;
-    candidates.push_back(Candidate{prot_id, id, nominal.Slack(id)});
+    if (orig_in_prot[id] == kInvalidGate) continue;
+    candidates.push_back(Candidate{orig_in_prot[id], id, nominal.Slack(id)});
   }
 
   std::vector<GateId> sites;
@@ -538,10 +521,6 @@ InjectionCampaignResult RunInjectionCampaign(
   SM_REQUIRE(options.guard_band > 0 && options.guard_band < 1,
              "guard_band must be in (0, 1), got " << options.guard_band);
   SM_REQUIRE(options.vectors_per_site > 0, "need at least one vector per site");
-  SM_REQUIRE(options.chunk > 0, "chunk must be positive");
-  SM_REQUIRE(options.batch_width >= 1 && options.batch_width <= kBatchLanes,
-             "batch_width must be in [1, " << kBatchLanes << "], got "
-                                           << options.batch_width);
   SM_REQUIRE(std::is_sorted(options.waived_outputs.begin(),
                             options.waived_outputs.end()) &&
                  std::adjacent_find(options.waived_outputs.begin(),
@@ -559,25 +538,15 @@ InjectionCampaignResult RunInjectionCampaign(
   const double clock =
       options.clock < 0 ? nominal.critical_delay : options.clock;
   SM_REQUIRE(clock > 0, "clock must be positive");
-  // Protected outputs are judged at clock + mux compensation, mirroring the
-  // Monte-Carlo engine: the mux is new logic after y_i, so its propagation
-  // delay extends the sampling instant, not the guarantee.
-  double mux_compensation = 0;
-  for (const ProtectedCircuit::Tap& tap : protected_circuit.taps) {
-    mux_compensation =
-        std::max(mux_compensation, prot.cell(tap.mux).max_delay());
-  }
-  const double protected_clock = clock + mux_compensation;
+  const double protected_clock = protected_circuit.SamplingClock(clock);
   // The epsilon keeps a full-window fault strictly inside the guarantee at
   // float boundaries (a path of length exactly Δ_y + window would otherwise
   // tie with the clock edge).
   const double delta =
       std::max(0.0, options.delta_fraction * options.guard_band * clock - kEps);
 
-  InjectOptions resolved = options;
-  resolved.clock = clock;
   const std::vector<GateId> sites =
-      SelectFaultSites(original, protected_circuit, nominal, resolved);
+      SelectFaultSites(original, protected_circuit, nominal, options);
 
   InjectionCampaignResult r;
   r.sites = sites.size();
@@ -597,9 +566,15 @@ InjectionCampaignResult RunInjectionCampaign(
   // sensitizing patterns), computed sequentially — the BDD manager is not
   // thread-safe, and the reduction regenerates vectors from the same data.
   const TimingInfo prot_nominal = AnalyzeTiming(prot, protected_clock);
-  const std::vector<SiteContext> contexts =
-      BuildSiteContexts(original, prot, prot_nominal, sites, resolved);
+  const std::vector<SiteContext> contexts = BuildSiteContexts(
+      original, protected_circuit, prot_nominal, sites, options.cancel);
 
+  // A wrapped product would run a few trials (or none) and certify zero
+  // escapes.
+  SM_REQUIRE(options.vectors_per_site <=
+                 std::numeric_limits<std::size_t>::max() / sites.size(),
+             sites.size() << " sites x " << options.vectors_per_site
+                          << " vectors per site overflows the trial count");
   const std::size_t trials = sites.size() * options.vectors_per_site;
   // Workers only record the outcome; escape vectors are regenerated from the
   // trial index during the sequential reduction, so memory stays O(trials)
@@ -611,91 +586,73 @@ InjectionCampaignResult RunInjectionCampaign(
   };
   std::vector<Slot> slots(trials);
 
-  // Batched-run telemetry per chunk slot — thread-count invariant because
-  // the packing depends only on the chunk boundaries.
-  const std::size_t num_chunks = (trials + options.chunk - 1) / options.chunk;
-  std::vector<std::uint64_t> chunk_words(num_chunks, 0);
-  std::vector<std::uint64_t> chunk_lanes(num_chunks, 0);
+  BatchTelemetry telemetry;
 
-  // Each lane carries one (fault, vector) trial — a sparse extra-delay
-  // override for a permanent fault, a per-lane transient for a one-shot
-  // edge — and lane classification mirrors ClassifyFaultTrial.
-  const auto run_trials = [&](std::size_t lo, std::size_t hi) {
-    const auto width = static_cast<std::size_t>(options.batch_width);
+  // Each chunk is one batched run. Each lane carries one (fault, vector)
+  // trial — a sparse extra-delay override for a permanent fault, a per-lane
+  // transient for a one-shot edge — and lane classification mirrors
+  // ClassifyFaultTrial.
+  const auto run_chunk = [&](std::size_t lo, std::size_t hi) {
+    if (options.cancel != nullptr &&
+        options.cancel->Status() != ErrorCode::kOk) {
+      return;
+    }
+    const int count = static_cast<int>(hi - lo);
+    if (options.cancel != nullptr) {
+      options.cancel->ConsumeWork(static_cast<std::uint64_t>(count));
+    }
+    BatchEventSimConfig cfg;
+    cfg.clock = protected_clock;
+    cfg.lanes = count;
+    LanePatterns patterns(prot.NumInputs());
+    for (int l = 0; l < count; ++l) {
+      const std::size_t t = lo + static_cast<std::size_t>(l);
+      const std::size_t site_index = t / options.vectors_per_site;
+      const TrialSetup s =
+          MakeTrialSetup(prot.NumInputs(), options, delta, sites[site_index],
+                         contexts[site_index], t, t % options.vectors_per_site);
+      if (s.fault.kind == FaultKind::kPermanentDelta) {
+        cfg.extra_overrides.push_back(
+            BatchDelayOverride{l, s.fault.site, s.fault.delta});
+      } else {
+        cfg.transient_faults.push_back(BatchTransientFault{
+            l, s.fault.site, s.fault.transition_index, s.fault.delta});
+      }
+      patterns.Pack(l, s.previous, s.next);
+    }
     BatchEventSim engine(prot);
-    std::vector<TrialSetup> setups(width);
-    std::vector<std::uint64_t> prev_words(prot.NumInputs());
-    std::vector<std::uint64_t> next_words(prot.NumInputs());
-    for (std::size_t base = lo; base < hi; base += width) {
-      if (options.cancel != nullptr &&
-          options.cancel->Status() != ErrorCode::kOk) {
-        return;
-      }
-      const int count = static_cast<int>(std::min(width, hi - base));
-      if (options.cancel != nullptr) {
-        options.cancel->ConsumeWork(static_cast<std::uint64_t>(count));
-      }
-      BatchEventSimConfig cfg;
-      cfg.clock = protected_clock;
-      cfg.lanes = count;
-      std::fill(prev_words.begin(), prev_words.end(), 0);
-      std::fill(next_words.begin(), next_words.end(), 0);
-      for (int l = 0; l < count; ++l) {
-        const std::size_t t = base + static_cast<std::size_t>(l);
-        const std::size_t site_index = t / options.vectors_per_site;
-        const std::size_t vector_index = t % options.vectors_per_site;
-        TrialSetup& s = setups[static_cast<std::size_t>(l)];
-        s = MakeTrialSetup(prot.NumInputs(), options, delta,
-                           sites[site_index], contexts[site_index], t,
-                           vector_index);
-        if (s.fault.kind == FaultKind::kPermanentDelta) {
-          cfg.extra_overrides.push_back(
-              BatchDelayOverride{l, s.fault.site, s.fault.delta});
-        } else {
-          cfg.transient_faults.push_back(BatchTransientFault{
-              l, s.fault.site, s.fault.transition_index, s.fault.delta});
+    const BatchEventSimResult& sim =
+        engine.Run(patterns.previous, patterns.next, cfg);
+    ++telemetry.words;
+    telemetry.lanes += static_cast<std::uint64_t>(count);
+    for (int l = 0; l < count; ++l) {
+      Slot slot;
+      bool escaped = false;
+      for (std::size_t i = 0; i < prot.NumOutputs() && !escaped; ++i) {
+        if (!sim.TimingErrorAt(prot.output(i).driver, l)) continue;
+        if (std::binary_search(options.waived_outputs.begin(),
+                               options.waived_outputs.end(), i)) {
+          continue;
         }
-        for (std::size_t v = 0; v < s.previous.size(); ++v) {
-          if (s.previous[v]) prev_words[v] |= 1ull << l;
-          if (s.next[v]) next_words[v] |= 1ull << l;
-        }
+        slot.outcome = InjectOutcome::kEscape;
+        slot.escaping_output = static_cast<std::uint32_t>(i);
+        escaped = true;
       }
-      const BatchEventSimResult& sim = engine.Run(prev_words, next_words, cfg);
-      chunk_words[lo / options.chunk] += 1;
-      chunk_lanes[lo / options.chunk] += static_cast<std::uint64_t>(count);
-      for (int l = 0; l < count; ++l) {
-        const std::size_t t = base + static_cast<std::size_t>(l);
-        Slot slot;
-        bool escaped = false;
-        for (std::size_t i = 0; i < prot.NumOutputs() && !escaped; ++i) {
-          if (!sim.TimingErrorAt(prot.output(i).driver, l)) continue;
-          if (std::binary_search(options.waived_outputs.begin(),
-                                 options.waived_outputs.end(), i)) {
-            continue;
-          }
-          slot.outcome = InjectOutcome::kEscape;
-          slot.escaping_output = static_cast<std::uint32_t>(i);
-          escaped = true;
+      if (!escaped) {
+        std::uint32_t taps = 0;
+        for (const ProtectedCircuit::Tap& tap : protected_circuit.taps) {
+          if (sim.MaskedTapAt(tap.indicator, tap.original, l, clock)) ++taps;
         }
-        if (!escaped) {
-          std::uint32_t taps = 0;
-          for (const ProtectedCircuit::Tap& tap : protected_circuit.taps) {
-            if (sim.SettleAt(tap.original, l) > clock + kEps &&
-                sim.SampledAt(tap.indicator, l)) {
-              ++taps;
-            }
-          }
-          slot.masked_taps = taps;
-          slot.outcome =
-              taps > 0 ? InjectOutcome::kMasked : InjectOutcome::kBenign;
-        }
-        slots[t] = slot;
+        slot.masked_taps = taps;
+        slot.outcome =
+            taps > 0 ? InjectOutcome::kMasked : InjectOutcome::kBenign;
       }
+      slots[lo + static_cast<std::size_t>(l)] = slot;
     }
   };
 
   ThreadPool pool(options.threads);
-  pool.ParallelFor(0, trials, options.chunk, run_trials);
+  pool.ParallelFor(0, trials, kChunk, run_chunk);
   // Raise the typed error only after the pool has drained: workers skipped
   // rather than threw, so no exception crosses a thread boundary.
   if (options.cancel != nullptr) options.cancel->Check();
@@ -713,7 +670,7 @@ InjectionCampaignResult RunInjectionCampaign(
         break;
       case InjectOutcome::kEscape: {
         ++r.escapes;
-        if (r.escape_records.size() >= options.max_escape_records) break;
+        if (r.escape_records.size() >= kMaxEscapeRecords) break;
         const std::size_t site_index = t / options.vectors_per_site;
         const std::size_t vector_index = t % options.vectors_per_site;
         const TrialSetup s =
@@ -739,22 +696,16 @@ InjectionCampaignResult RunInjectionCampaign(
 
   if (options.shrink) {
     const std::size_t n =
-        std::min(options.max_shrink_escapes, r.escape_records.size());
+        std::min(kMaxShrinkEscapes, r.escape_records.size());
     for (std::size_t i = 0; i < n; ++i) {
       ShrinkEscape(protected_circuit, clock, protected_clock,
                    options.waived_outputs, &r.escape_records[i]);
     }
   }
 
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    r.words_simulated += chunk_words[c];
-    r.lanes_simulated += chunk_lanes[c];
-  }
-  r.lane_utilization =
-      r.words_simulated > 0
-          ? static_cast<double>(r.lanes_simulated) /
-                (static_cast<double>(r.words_simulated) * kBatchLanes)
-          : 0;
+  r.words_simulated = telemetry.words;
+  r.lanes_simulated = telemetry.lanes;
+  r.lane_utilization = telemetry.LaneUtilization();
   r.seconds = timer.Seconds();
   r.trials_per_second = r.seconds > 0 ? trials / r.seconds : 0;
   return r;

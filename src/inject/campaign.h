@@ -95,26 +95,18 @@ struct InjectOptions {
   double delta_fraction = 1.0;
   // 0 = every candidate site (exhaustive/adversarial) or 32 (random).
   std::size_t max_sites = 0;
-  std::size_t vectors_per_site = 24;
-  // Per site, derive one robust path-sensitizing vector pair from global
-  // BDDs (Boolean difference along the STA-worst path through the site) and
-  // inject it as the site's first vector. Random pattern pairs almost never
-  // dynamically activate a 20+-level near-critical path (every side input
-  // must be non-controlling), so without this the campaign observes nothing.
-  bool sensitize = true;
-  std::size_t bdd_node_limit = 8'000'000;  // sensitization manager cap
-  int threads = 1;
-  std::size_t chunk = 64;  // trials per thread-pool task (one full batch)
-  std::uint64_t seed = 2009;
-  // Each chunk's trials are packed into 64-lane batched simulation runs
-  // (batch_sim.h), `batch_width` lanes per run, in [1, 64]: per-lane sparse
+  // Per site, the first vector is a robust path-sensitizing pair derived
+  // from global BDDs (Boolean difference along the STA-worst path through
+  // the site; best-effort under an 8M-node manager cap). Every 64 trials
+  // form one batched simulation run (batch_sim.h): per-lane sparse
   // extra-delay overrides model permanent faults, per-lane transient faults
-  // model one-shot edges. Outcomes are identical at every width.
-  int batch_width = 64;
-  // Minimize escapes into smallest reproducers (sequential, deterministic).
+  // model one-shot edges. sites · vectors_per_site must fit in size_t.
+  std::size_t vectors_per_site = 24;
+  int threads = 1;
+  std::uint64_t seed = 2009;
+  // Minimize the first 4 escapes into smallest reproducers (sequential,
+  // deterministic).
   bool shrink = true;
-  std::size_t max_shrink_escapes = 4;
-  std::size_t max_escape_records = 64;
   // Cooperative cancellation, polled per (site, vector) trial: a tripped
   // token makes the remaining trials no-ops and the post-pool check throws
   // CancelledError before the sequential reduction — a cancelled campaign
@@ -165,12 +157,11 @@ struct InjectionCampaignResult {
   double clock = 0;            // raw clock the campaign used
   double protected_clock = 0;  // clock + mux compensation
   double delta = 0;            // injected delay delta
-  std::vector<EscapeRecord> escape_records;  // first max_escape_records
+  std::vector<EscapeRecord> escape_records;  // the first 64 escapes
   double seconds = 0;
   double trials_per_second = 0;
 
-  // Batched-simulation telemetry; deterministic for fixed options but,
-  // unlike the semantic fields above, dependent on chunk and batch_width.
+  // Batched-simulation telemetry; deterministic for fixed options.
   std::uint64_t words_simulated = 0;
   std::uint64_t lanes_simulated = 0;
   double lane_utilization = 0;  // lanes / (words * 64)

@@ -1,10 +1,28 @@
 #include "masking/integrate.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "util/check.h"
 
 namespace sm {
+
+double ProtectedCircuit::SamplingClock(double clock) const {
+  double mux_delay = 0;
+  for (const Tap& tap : taps) {
+    mux_delay = std::max(mux_delay, netlist.cell(tap.mux).max_delay());
+  }
+  return clock + mux_delay;
+}
+
+std::vector<GateId> ProtectedCircuit::OriginalToProtected(
+    const MappedNetlist& original) const {
+  std::vector<GateId> ids(original.NumElements(), kInvalidGate);
+  for (GateId id = 0; id < original.NumElements(); ++id) {
+    ids[id] = netlist.FindByName(original.element(id).name);
+  }
+  return ids;
+}
 
 ProtectedCircuit IntegrateMasking(const MappedNetlist& original,
                                   const MaskingCircuit& masking,

@@ -40,6 +40,16 @@ struct ProtectedCircuit {
   double AreaOverheadPercent() const {
     return original_area <= 0 ? 0 : 100.0 * masking_area / original_area;
   }
+
+  // The instant the protected outputs are sampled: the raw clock plus the
+  // largest tap-mux delay. The mux is new logic after y_i, so its delay
+  // extends the sampling instant, not the guarantee.
+  double SamplingClock(double clock) const;
+
+  // Protected-netlist id of every element of `original` (the circuit this
+  // one was integrated from), by name — integration keeps the original
+  // names; kInvalidGate for an element swept during integration.
+  std::vector<GateId> OriginalToProtected(const MappedNetlist& original) const;
 };
 
 struct IntegrateOptions {

@@ -2,14 +2,12 @@
 //
 // The optimizer (opt/optimizer.h) never runs a flow itself — it hands
 // resolved candidate configurations to a CandidateEvaluator and consumes
-// the scalar fitness summaries that come back. Two implementations live in
-// harness/optimize.h: one runs RunMaskingFlow + EstimateTimingYield in
-// process, the other sends synthesize_masking / estimate_yield requests to
-// a speedmask analysis daemon. Both must produce BIT-IDENTICAL
-// OptEvaluation values for the same candidate (the daemon path round-trips
-// every double through the canonical JSON formatter, which is shortest-
-// round-trip exact), so the search trajectory — and the final Pareto front
-// — is byte-identical whichever evaluator backs it.
+// the scalar fitness summaries that come back. The production
+// implementation is harness/optimize.h's InProcessEvaluator, which runs
+// RunMaskingFlow + EstimateTimingYield in process — also inside the
+// daemon's optimize_masking method. An evaluation is a pure function of
+// the candidate, so the search trajectory — and the final Pareto front —
+// is byte-identical at any evaluation thread count.
 #pragma once
 
 #include <cstddef>

@@ -13,6 +13,7 @@
 #include "harness/yield.h"
 #include "liblib/lsi10k.h"
 #include "map/tech_map.h"
+#include "opt/genome.h"
 #include "service/framing.h"
 #include "service/json.h"
 #include "spcf/spcf.h"
@@ -450,16 +451,15 @@ void SpeedmaskServer::RunAnalysis(std::shared_ptr<Connection> conn,
 
 namespace {
 
-// Effort + scope of a scoped-flow request mapped onto synthesis options
-// (the same resolution the optimizer's evaluator applies in process).
-MaskingSynthOptions ScopedSynthOptions(const ServiceRequest& request) {
-  MaskingSynthOptions synth =
-      SynthOptionsForEffort(static_cast<int>(request.effort));
-  if (!request.scope.empty()) {
-    synth.protect_all = false;
-    synth.protection_scope = request.scope;
-  }
-  return synth;
+// Effort + scope of a scoped-flow request as an optimizer candidate, so the
+// daemon and the optimizer resolve synthesis options alike. An empty scope
+// means protect-all.
+CandidateConfig RequestCandidate(const ServiceRequest& request) {
+  CandidateConfig config;
+  config.effort = static_cast<int>(request.effort);
+  config.protect_all = request.scope.empty();
+  config.scope = request.scope;
+  return config;
 }
 
 }  // namespace
@@ -468,20 +468,9 @@ std::string SpeedmaskServer::ComputeResult(WorkerContext& ctx,
                                            const ServiceRequest& request,
                                            const Network& circuit,
                                            const CancelToken* cancel) {
-  // Attaches the request token to the warm per-worker manager for the
-  // compute and always detaches before returning/unwinding — the token
-  // lives on the RunAnalysis stack, the manager across requests.
-  struct ManagerTokenGuard {
-    BddManager* mgr = nullptr;
-    void Attach(BddManager& m, const CancelToken* token) {
-      if (token == nullptr) return;
-      mgr = &m;
-      mgr->SetCancelToken(token);
-    }
-    ~ManagerTokenGuard() {
-      if (mgr != nullptr) mgr->SetCancelToken(nullptr);
-    }
-  } token_guard;
+  // The request token rides on the warm per-worker manager for the compute
+  // only: it lives on the RunAnalysis stack, the manager across requests.
+  BddCancelScope token_guard;
 
   switch (request.method) {
     case ServiceMethod::kAnalyzeSpcf: {
@@ -489,7 +478,7 @@ std::string SpeedmaskServer::ComputeResult(WorkerContext& ctx,
       const TimingInfo timing = AnalyzeTiming(mapped.netlist);
       BddManager& mgr = ctx.ManagerFor(
           static_cast<int>(circuit.NumInputs()), options_, manager_resets_);
-      token_guard.Attach(mgr, cancel);
+      token_guard.Attach(&mgr, cancel);
       SpcfOptions spcf_options;
       spcf_options.algorithm = request.algorithm;
       spcf_options.guard_band = request.guard;
@@ -502,11 +491,11 @@ std::string SpeedmaskServer::ComputeResult(WorkerContext& ctx,
     case ServiceMethod::kEstimateYield: {
       FlowOptions flow_options;
       flow_options.spcf.guard_band = request.guard;
-      flow_options.synth = ScopedSynthOptions(request);
+      flow_options.synth = SynthOptionsForCandidate(RequestCandidate(request));
       flow_options.cancel = cancel;
       BddManager& mgr = ctx.ManagerFor(
           static_cast<int>(circuit.NumInputs()), options_, manager_resets_);
-      token_guard.Attach(mgr, cancel);
+      token_guard.Attach(&mgr, cancel);
       flow_options.reuse_manager = &mgr;
       const FlowResult flow = RunMaskingFlow(circuit, library_, flow_options);
       if (request.method == ServiceMethod::kSynthesizeMasking) {
@@ -527,11 +516,11 @@ std::string SpeedmaskServer::ComputeResult(WorkerContext& ctx,
     case ServiceMethod::kInjectCampaign: {
       FlowOptions flow_options;
       flow_options.spcf.guard_band = request.guard;
-      flow_options.synth = ScopedSynthOptions(request);
+      flow_options.synth = SynthOptionsForCandidate(RequestCandidate(request));
       flow_options.cancel = cancel;
       BddManager& mgr = ctx.ManagerFor(
           static_cast<int>(circuit.NumInputs()), options_, manager_resets_);
-      token_guard.Attach(mgr, cancel);
+      token_guard.Attach(&mgr, cancel);
       flow_options.reuse_manager = &mgr;
       const FlowResult flow = RunMaskingFlow(circuit, library_, flow_options);
       InjectOptions inject_options;

@@ -15,6 +15,25 @@ constexpr int kMaxPins = 24;
 
 }  // namespace
 
+void LanePatterns::Clear() {
+  std::fill(previous.begin(), previous.end(), 0);
+  std::fill(next.begin(), next.end(), 0);
+}
+
+void LanePatterns::Pack(int lane, const std::vector<bool>& prev_pattern,
+                        const std::vector<bool>& next_pattern) {
+  for (std::size_t v = 0; v < prev_pattern.size(); ++v) {
+    if (prev_pattern[v]) previous[v] |= 1ull << lane;
+    if (next_pattern[v]) next[v] |= 1ull << lane;
+  }
+}
+
+double BatchTelemetry::LaneUtilization() const {
+  return words > 0 ? static_cast<double>(lanes) /
+                         (static_cast<double>(words) * kBatchLanes)
+                   : 0;
+}
+
 BatchEventSim::BatchEventSim(const MappedNetlist& net)
     : net_(net), fanouts_(net.Fanouts()), n_(net.NumElements()) {
   info_.resize(n_);

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -107,6 +108,38 @@ struct BatchEventSimResult {
   std::uint64_t TimingErrorWord(GateId id) const {
     return (sampled[id] ^ settled[id]) & lane_mask;
   }
+  // A masked tap in lane `lane`: the copied original output `original` was
+  // still changing after its own `deadline` (sub-ulp noise ignored) while
+  // its indicator `indicator` was raised at the clock edge — the paper's
+  // e·(y ⊕ ỹ) event, which the output mux absorbs.
+  bool MaskedTapAt(GateId indicator, GateId original, int lane,
+                   double deadline) const {
+    return SampledAt(indicator, lane) &&
+           SettleAt(original, lane) > deadline + 1e-9;
+  }
+};
+
+// The input words of one batched run, packed lane by lane from scalar
+// pattern pairs: bit l of word v is lane l's value of primary input v.
+struct LanePatterns {
+  explicit LanePatterns(std::size_t num_inputs)
+      : previous(num_inputs), next(num_inputs) {}
+  // Zeroes every word; call before packing the next run.
+  void Clear();
+  void Pack(int lane, const std::vector<bool>& prev_pattern,
+            const std::vector<bool>& next_pattern);
+
+  std::vector<std::uint64_t> previous;
+  std::vector<std::uint64_t> next;
+};
+
+// Batched-run telemetry, summed across pool workers. Integer sums do not
+// depend on the order workers add them, so the totals are fixed by how the
+// trials are packed into runs, never by scheduling.
+struct BatchTelemetry {
+  std::atomic<std::uint64_t> words{0};  // batched engine runs
+  std::atomic<std::uint64_t> lanes{0};  // trials packed into them
+  double LaneUtilization() const;       // lanes / (words * kBatchLanes)
 };
 
 // Reusable batched simulator for one netlist. Not thread-safe; give each

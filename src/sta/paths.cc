@@ -1,6 +1,7 @@
 #include "sta/paths.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.h"
 
@@ -57,26 +58,38 @@ TimingPath WorstPath(const MappedNetlist& net, const TimingInfo& timing) {
   }
   TimingPath path;
   path.delay = timing.max_arrival[at];
-  std::vector<GateId> rev{at};
-  while (!net.IsInput(at)) {
+  for (const PathStep& step : ArrivalDefiningPath(net, timing, at)) {
+    path.elements.push_back(step.gate);
+  }
+  std::reverse(path.elements.begin(), path.elements.end());
+  return path;
+}
+
+std::vector<PathStep> ArrivalDefiningPath(const MappedNetlist& net,
+                                          const TimingInfo& timing,
+                                          GateId from,
+                                          const std::vector<double>* scale) {
+  std::vector<PathStep> steps;
+  GateId at = from;
+  while (!net.IsInput(at) && !net.cell(at).IsConstant()) {
     const Cell& cell = net.cell(at);
-    if (cell.IsConstant()) break;
     const auto& fin = net.fanins(at);
-    GateId next = fin[0];
-    double best = -1;
+    const double s = scale != nullptr ? (*scale)[at] : 1.0;
+    int best_pin = 0;
+    double best = -std::numeric_limits<double>::infinity();
     for (int p = 0; p < cell.num_pins(); ++p) {
-      const GateId f = fin[static_cast<std::size_t>(p)];
-      const double a = timing.max_arrival[f] + cell.pin_delay(p);
+      const double a = timing.max_arrival[fin[static_cast<std::size_t>(p)]] +
+                       cell.pin_delay(p) * s;
       if (a > best) {
         best = a;
-        next = f;
+        best_pin = p;
       }
     }
-    at = next;
-    rev.push_back(at);
+    steps.push_back(PathStep{at, best_pin});
+    at = fin[static_cast<std::size_t>(best_pin)];
   }
-  path.elements.assign(rev.rbegin(), rev.rend());
-  return path;
+  steps.push_back(PathStep{at, -1});
+  return steps;
 }
 
 std::vector<TimingPath> EnumerateSpeedPaths(const MappedNetlist& net,

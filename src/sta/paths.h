@@ -17,6 +17,22 @@ struct TimingPath {
 // One worst path (ties broken deterministically by lowest pin index).
 TimingPath WorstPath(const MappedNetlist& net, const TimingInfo& timing);
 
+// One step of an arrival-defining walk: `gate`, entered through its pin
+// `pin`; -1 at the walk's head (a primary input or a tie cell).
+struct PathStep {
+  GateId gate;
+  int pin;
+};
+
+// Walks back from `from` along the arrival-defining pin of each gate (the
+// first maximum of fanin arrival + pin delay, so the lowest pin wins ties)
+// and returns the steps from `from` to the head. `scale`, when non-null,
+// multiplies every pin delay of gate g by (*scale)[g] — the delay plane
+// `timing` was analyzed under.
+std::vector<PathStep> ArrivalDefiningPath(
+    const MappedNetlist& net, const TimingInfo& timing, GateId from,
+    const std::vector<double>* scale = nullptr);
+
 // All paths with delay > threshold, capped at `limit` paths (DFS order,
 // deterministic). Use CountSpeedPaths when only the count matters.
 std::vector<TimingPath> EnumerateSpeedPaths(const MappedNetlist& net,

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "sim/batch_sim.h"
+#include "sta/paths.h"
 #include "sta/sta.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -21,6 +21,17 @@ constexpr double kEps = 1e-9;
 // stream of the same trial; offsetting the stream index by a large odd
 // constant keeps the two families disjoint for any realistic trial count.
 constexpr std::uint64_t kClassifyStreamOffset = 0x9e3779b97f4a7c15ULL;
+
+// Trials per thread-pool task; chunk boundaries fix the batch packing.
+constexpr std::size_t kChunk = 64;
+// Node-visit budget of the per-trial escape scan; an exhausted budget
+// truncates the scan (scan_truncations) and treats the rest as masked.
+constexpr std::size_t kScanBudget = 200000;
+// Importance sampling shifts the gates within kIsGuardFraction · clock of
+// their deadline by a total of kIsShift sigmas. E[w²] = exp(‖μ‖²) whatever
+// the circuit size: 1.5 keeps ~10% effective samples, 2.5+ collapses them.
+constexpr double kIsShift = 1.5;
+constexpr double kIsGuardFraction = 0.2;
 
 struct TrialOutcome {
   bool violates_original = false;
@@ -116,43 +127,12 @@ struct EscapeScanner {
   }
 };
 
-// Walks back from `driver` along the arrival-defining pin under the trial's
-// scaled delays and returns the primary input at the head of that path
-// (kInvalidGate when the path starts at a tie cell). Toggling this input
-// launches a transition down the exact path STA blamed — random transitions
-// almost never sensitize a specific speed-path, targeted ones often do.
-GateId TrialPathHead(const MappedNetlist& net, const TimingInfo& timing,
-                     const std::vector<double>& scale, GateId driver) {
-  GateId at = driver;
-  while (!net.IsInput(at)) {
-    const Cell& cell = net.cell(at);
-    if (cell.IsConstant()) return kInvalidGate;
-    const auto& fin = net.fanins(at);
-    GateId next = fin[0];
-    double best = -std::numeric_limits<double>::infinity();
-    for (int p = 0; p < cell.num_pins(); ++p) {
-      const GateId f = fin[static_cast<std::size_t>(p)];
-      const double a = timing.max_arrival[f] + cell.pin_delay(p) * scale[at];
-      if (a > best) {
-        best = a;
-        next = f;
-      }
-    }
-    at = next;
-  }
-  return at;
-}
-
 }  // namespace
 
 YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
                                const ProtectedCircuit& protected_circuit,
                                const YieldMcOptions& options) {
   SM_REQUIRE(options.trials > 0, "need at least one trial");
-  SM_REQUIRE(options.chunk > 0, "chunk must be positive");
-  SM_REQUIRE(options.batch_width >= 1 && options.batch_width <= kBatchLanes,
-             "batch_width must be in [1, " << kBatchLanes << "], got "
-                                           << options.batch_width);
   const MappedNetlist& prot = protected_circuit.netlist;
 
   // Nominal timing fixes the clock and (for importance sampling) the set of
@@ -161,12 +141,7 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
   const double clock = options.clock < 0 ? nominal.critical_delay
                                          : options.clock;
   SM_REQUIRE(clock > 0, "clock must be positive");
-  double mux_compensation = 0;
-  for (const auto& tap : protected_circuit.taps) {
-    mux_compensation =
-        std::max(mux_compensation, prot.cell(tap.mux).max_delay());
-  }
-  const double prot_clock = clock + mux_compensation;
+  const double prot_clock = protected_circuit.SamplingClock(clock);
   const double coverage_target =
       options.coverage_target_arrival < 0
           ? (1.0 - options.guard_band) * clock
@@ -183,24 +158,21 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
 
   // Variation is sampled once per trial over the protected netlist (the
   // superset); the copied original gates share their copy's draw so C and
-  // C ∪ C̃ see the same silicon. The map is by name — integration preserves
-  // the original gate names.
-  std::vector<GateId> orig_in_prot(original.NumElements(), kInvalidGate);
-  for (GateId id = 0; id < original.NumElements(); ++id) {
-    orig_in_prot[id] = prot.FindByName(original.element(id).name);
-  }
+  // C ∪ C̃ see the same silicon.
+  const std::vector<GateId> orig_in_prot =
+      protected_circuit.OriginalToProtected(original);
   const DelayScaleSampler sampler(prot, options.model);
 
   std::vector<double> shift;
   if (options.importance_sampling) {
     // Shift toward slowdown along a single direction over the low-slack
-    // gates, L2-normalized so the TOTAL shift magnitude is is_shift sigmas
+    // gates, L2-normalized so the TOTAL shift magnitude is kIsShift sigmas
     // however many gates qualify. (A per-gate shift would give the weights
     // a log-variance proportional to the gate count — on thousand-gate
     // circuits every likelihood ratio collapses to ~0 and the estimator
     // dies. With ‖μ‖ fixed, E[w²] = exp(‖μ‖²) independent of size.)
     shift.assign(prot.NumElements(), 0.0);
-    const double window = options.is_guard_fraction * prot_clock;
+    const double window = kIsGuardFraction * prot_clock;
     double norm2 = 0;
     for (GateId id = 0; id < prot.NumElements(); ++id) {
       if (prot.IsInput(id)) continue;
@@ -212,7 +184,7 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
       }
     }
     if (norm2 > 0) {
-      const double k = options.is_shift / std::sqrt(norm2);
+      const double k = kIsShift / std::sqrt(norm2);
       for (double& s : shift) s *= k;
     }
   }
@@ -261,7 +233,7 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     EscapeScanner scanner{prot, t_prot, prot_nominal, sample.scale};
     scanner.scaled_deadline = prot_clock;
     scanner.nominal_threshold = coverage_target;
-    scanner.budget = options.scan_budget;
+    scanner.budget = kScanBudget;
     for (std::size_t oi = 0; oi < prot.NumOutputs(); ++oi) {
       const GateId driver = prot.output(oi).driver;
       if (t_prot.max_arrival[driver] <= prot_clock + kEps) continue;
@@ -301,9 +273,15 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
         const std::size_t oi =
             late_outputs[static_cast<std::size_t>(i / 2) %
                          late_outputs.size()];
-        const GateId head = TrialPathHead(prot, t_prot, sample.scale,
-                                          prot.output(oi).driver);
-        const int pi = head == kInvalidGate ? -1 : prot.InputIndex(head);
+        // Toggling the input at the head of the arrival-defining path
+        // launches a transition down the exact path STA blamed — random
+        // transitions almost never sensitize a specific speed-path.
+        const GateId head = ArrivalDefiningPath(prot, t_prot,
+                                                prot.output(oi).driver,
+                                                &sample.scale)
+                                .back()
+                                .gate;
+        const int pi = prot.IsInput(head) ? prot.InputIndex(head) : -1;
         prev = next;
         if (pi >= 0) {
           prev[static_cast<std::size_t>(pi)] =
@@ -333,23 +311,13 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     }
     std::uint32_t taps = 0;
     for (const auto& tap : protected_circuit.taps) {
-      if (sim.SampledAt(tap.indicator, lane) &&
-          sim.SettleAt(tap.original, lane) > clock + kEps) {
-        ++taps;
-      }
+      if (sim.MaskedTapAt(tap.indicator, tap.original, lane, clock)) ++taps;
     }
     plan.err_counts[transition] = errs;
     plan.tap_counts[transition] = taps;
   };
 
-  // Batched-run telemetry per chunk slot: the packing depends only on the
-  // chunk boundaries, so the totals are thread-count invariant.
-  const std::size_t num_chunks =
-      (options.trials + options.chunk - 1) / options.chunk;
-  std::vector<std::uint64_t> chunk_words(num_chunks, 0);
-  std::vector<std::uint64_t> chunk_lanes(num_chunks, 0);
-
-  const int width = options.batch_width;
+  BatchTelemetry telemetry;
   const auto run_chunk = [&](std::size_t lo, std::size_t hi) {
     // Phase A: STA + escape scan per trial; violating trials leave their
     // classification patterns and delay plane in a plan.
@@ -362,8 +330,8 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     if (pending.empty()) return;
 
     // Phase B: flatten every (trial, transition) into lanes and run the
-    // batched engine `width` lanes at a time. Lanes of one trial share its
-    // delay plane by pointer.
+    // batched engine 64 lanes at a time. Lanes of one trial share its delay
+    // plane by pointer.
     struct LaneRef {
       std::size_t plan_index;
       std::size_t transition;
@@ -377,38 +345,30 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
       }
     }
     BatchEventSim engine(prot);
-    std::vector<std::uint64_t> prev_words(prot.NumInputs());
-    std::vector<std::uint64_t> next_words(prot.NumInputs());
-    std::uint64_t words = 0;
-    for (std::size_t base = 0; base < lanes.size();
-         base += static_cast<std::size_t>(width)) {
-      const int count = static_cast<int>(
-          std::min(lanes.size() - base, static_cast<std::size_t>(width)));
+    LanePatterns patterns(prot.NumInputs());
+    constexpr auto kWidth = static_cast<std::size_t>(kBatchLanes);
+    for (std::size_t base = 0; base < lanes.size(); base += kWidth) {
+      const int count =
+          static_cast<int>(std::min(lanes.size() - base, kWidth));
       BatchEventSimConfig cfg;
       cfg.clock = prot_clock;
       cfg.lanes = count;
-      std::fill(prev_words.begin(), prev_words.end(), 0);
-      std::fill(next_words.begin(), next_words.end(), 0);
+      patterns.Clear();
       for (int l = 0; l < count; ++l) {
         const LaneRef& ref = lanes[base + static_cast<std::size_t>(l)];
         const TrialPlan& plan = pending[ref.plan_index];
         cfg.delay_scale[static_cast<std::size_t>(l)] = plan.scale.data();
-        const std::vector<bool>& pv = plan.prev[ref.transition];
-        const std::vector<bool>& nv = plan.next[ref.transition];
-        for (std::size_t v = 0; v < pv.size(); ++v) {
-          if (pv[v]) prev_words[v] |= 1ull << l;
-          if (nv[v]) next_words[v] |= 1ull << l;
-        }
+        patterns.Pack(l, plan.prev[ref.transition], plan.next[ref.transition]);
       }
-      const BatchEventSimResult& sim = engine.Run(prev_words, next_words, cfg);
-      ++words;
+      const BatchEventSimResult& sim =
+          engine.Run(patterns.previous, patterns.next, cfg);
+      ++telemetry.words;
       for (int l = 0; l < count; ++l) {
         const LaneRef& ref = lanes[base + static_cast<std::size_t>(l)];
         count_lane(sim, l, pending[ref.plan_index], ref.transition);
       }
     }
-    chunk_words[lo / options.chunk] += words;
-    chunk_lanes[lo / options.chunk] += lanes.size();
+    telemetry.lanes += lanes.size();
 
     // Phase C: fold the per-transition counts in transition order, up to
     // and including the first transition that lets an error escape. A trial
@@ -431,7 +391,7 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
   WallTimer timer;
   {
     ThreadPool pool(options.threads);
-    pool.ParallelFor(0, options.trials, options.chunk, run_chunk);
+    pool.ParallelFor(0, options.trials, kChunk, run_chunk);
   }
   // Raise the typed error only after the pool has drained: the workers
   // skipped (never threw), so no exception crosses a thread boundary.
@@ -477,15 +437,9 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     r.relative_error = mean > 0 ? r.residual_stderr / mean : 0;
   }
   r.effective_samples = sum_w2 > 0 ? (sum_w * sum_w) / sum_w2 : 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    r.words_simulated += chunk_words[c];
-    r.lanes_simulated += chunk_lanes[c];
-  }
-  r.lane_utilization =
-      r.words_simulated > 0
-          ? static_cast<double>(r.lanes_simulated) /
-                (static_cast<double>(r.words_simulated) * kBatchLanes)
-          : 0;
+  r.words_simulated = telemetry.words;
+  r.lanes_simulated = telemetry.lanes;
+  r.lane_utilization = telemetry.LaneUtilization();
   r.seconds = timer.Seconds();
   r.trials_per_second = r.seconds > 0 ? n / r.seconds : 0;
   return r;

@@ -33,10 +33,9 @@
 // bit-identical for any thread count.
 //
 // Importance sampling (ISLE-style): the Gaussians of the gates within
-// `is_guard_fraction`·clock of their deadline are shifted toward slowdown
-// along one dominant direction of total magnitude `is_shift` sigmas
-// (L2-normalized over the selected gates, so the weight variance does not
-// grow with circuit size); each trial carries the likelihood ratio
+// 0.2·clock of their deadline are shifted toward slowdown along one
+// dominant direction of total magnitude 1.5 sigmas (L2-normalized over the
+// selected gates, so the weight variance does not grow with circuit size); each trial carries the likelihood ratio
 // w_t = p/q and the estimator averages w_t·1[residual]. The result reports
 // the standard error and effective sample size so callers can see when the
 // shift was too aggressive.
@@ -53,7 +52,6 @@ namespace sm {
 struct YieldMcOptions {
   std::size_t trials = 10000;
   int threads = 1;
-  std::size_t chunk = 64;  // trials per thread-pool task
   std::uint64_t seed = 2009;
   VariationModel model;
   // Clock period for C; < 0 means "the nominal critical delay Δ".
@@ -66,18 +64,9 @@ struct YieldMcOptions {
   // Pattern transitions simulated per STA-violating trial to excite the
   // violation (masked-event statistics + a simulation cross-check of the
   // structural classification). 0 skips simulation; the masked/residual
-  // split is then purely structural.
+  // split is then purely structural. The simulations of each chunk of 64
+  // trials are packed into the 64-lane batched engine (batch_sim.h).
   int classify_transitions = 16;
-  // Node-visit budget of the per-trial escape scan. An exhausted budget
-  // truncates the scan (counted in scan_truncations) and the unscanned
-  // remainder is treated as masked.
-  std::size_t scan_budget = 200000;
-
-  // The classification simulations of a chunk's violating trials are
-  // packed into the 64-lane batched engine (batch_sim.h), `batch_width`
-  // lanes per run, in [1, 64]. Results are identical at every width;
-  // smaller widths exist for the width-identity tests, throughput wants 64.
-  int batch_width = 64;
 
   // Cooperative cancellation, polled per trial: a tripped token makes the
   // remaining trials no-ops and the post-pool check throws CancelledError
@@ -87,12 +76,6 @@ struct YieldMcOptions {
   const CancelToken* cancel = nullptr;
 
   bool importance_sampling = false;
-  // Total shift magnitude ‖μ‖ in sigmas, toward slowdown, distributed over
-  // the low-slack gates proportionally to (window − slack) and
-  // L2-normalized. E[w²] = exp(‖μ‖²) whatever the circuit size: 1.5 keeps
-  // ~10% effective samples, 2.5+ collapses the weights.
-  double is_shift = 1.5;
-  double is_guard_fraction = 0.2; // slack window that selects shifted gates
 };
 
 struct YieldMcResult {
@@ -122,8 +105,7 @@ struct YieldMcResult {
   double trials_per_second = 0;
 
   // Batched-simulation telemetry. Deterministic for fixed options — chunk
-  // boundaries, not thread scheduling, decide the packing — but, unlike
-  // the semantic fields above, it depends on chunk and batch_width.
+  // boundaries, not thread scheduling, decide the packing.
   std::uint64_t words_simulated = 0;     // batched engine runs
   std::uint64_t lanes_simulated = 0;     // transitions packed into them
   double lane_utilization = 0;           // lanes / (words * 64)

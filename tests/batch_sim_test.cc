@@ -288,8 +288,8 @@ TEST(LogicSim, SteadyStateParallelMatchesScalar) {
 // ---------------------------------------------------------------------------
 // Consumer identity: the Monte-Carlo yield engine and the injection campaign
 // classify through the batched engine only. Their results (doubles
-// included) must equal, at every batch width and thread count, the literals
-// recorded from the one-trial-at-a-time scalar classifier they replaced.
+// included) must equal, at every thread count, the literals recorded from
+// the one-trial-at-a-time scalar classifier they replaced.
 // Doubles are hex-float literals, so the comparisons are bit-exact.
 
 struct YieldRecord {
@@ -394,7 +394,7 @@ FlowResult* BatchConsumersTest::flow_ = nullptr;
 // The second case's sigma makes many trials residual by the escape scan; it
 // pins the fold that stops counting events after a trial's first escaping
 // transition.
-TEST_F(BatchConsumersTest, YieldMcMatchesScalarRecordAcrossWidthsAndThreads) {
+TEST_F(BatchConsumersTest, YieldMcMatchesScalarRecordAcrossThreads) {
   struct YieldCase {
     double sigma;
     int classify_transitions;
@@ -417,17 +417,14 @@ TEST_F(BatchConsumersTest, YieldMcMatchesScalarRecordAcrossWidthsAndThreads) {
     options.seed = 20090209;
     options.model.sigma = c.sigma;
     options.classify_transitions = c.classify_transitions;
-    for (const int width : {1, 7, 64}) {
-      options.batch_width = width;
-      for (const int threads : {1, 8}) {
-        options.threads = threads;
-        SCOPED_TRACE(testing::Message() << "sigma " << c.sigma << " width "
-                                        << width << " threads " << threads);
-        const YieldMcResult batched = EstimateTimingYield(*flow_, options);
-        ExpectYieldMatches(c.want, batched);
-        EXPECT_GT(batched.words_simulated, 0u) << "batched path did not run";
-        EXPECT_GT(batched.lane_utilization, 0.0);
-      }
+    for (const int threads : {1, 8}) {
+      options.threads = threads;
+      SCOPED_TRACE(testing::Message() << "sigma " << c.sigma << " threads "
+                                      << threads);
+      const YieldMcResult batched = EstimateTimingYield(*flow_, options);
+      ExpectYieldMatches(c.want, batched);
+      EXPECT_GT(batched.words_simulated, 0u) << "batched path did not run";
+      EXPECT_GT(batched.lane_utilization, 0.0);
     }
   }
 }
@@ -444,14 +441,10 @@ TEST_F(BatchConsumersTest, YieldMcImportanceSamplingMatchesScalarRecord) {
   options.model.sigma = 0.12;
   options.classify_transitions = 4;
   options.importance_sampling = true;
-  for (const int width : {1, 7, 64}) {
-    options.batch_width = width;
-    for (const int threads : {1, 8}) {
-      options.threads = threads;
-      SCOPED_TRACE(testing::Message() << "width " << width << " threads "
-                                      << threads);
-      ExpectYieldMatches(want, EstimateTimingYield(*flow_, options));
-    }
+  for (const int threads : {1, 8}) {
+    options.threads = threads;
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    ExpectYieldMatches(want, EstimateTimingYield(*flow_, options));
   }
 }
 
@@ -535,17 +528,14 @@ TEST_F(BatchConsumersTest, CampaignMatchesScalarRecordForBothFaultKinds) {
   ASSERT_EQ(want.size(), CampaignCases().size());
   for (std::size_t k = 0; k < want.size(); ++k) {
     InjectOptions options = CampaignCaseOptions(CampaignCases()[k]);
-    for (const int width : {1, 7, 64}) {
-      options.batch_width = width;
-      for (const int threads : {1, 8}) {
-        options.threads = threads;
-        SCOPED_TRACE(testing::Message() << "case " << k << " width " << width
-                                        << " threads " << threads);
-        const InjectionCampaignResult batched =
-            RunFaultInjectionCampaign(*flow_, options);
-        ExpectCampaignMatches(want[k], batched);
-        EXPECT_GT(batched.words_simulated, 0u);
-      }
+    for (const int threads : {1, 8}) {
+      options.threads = threads;
+      SCOPED_TRACE(testing::Message() << "case " << k << " threads "
+                                      << threads);
+      const InjectionCampaignResult batched =
+          RunFaultInjectionCampaign(*flow_, options);
+      ExpectCampaignMatches(want[k], batched);
+      EXPECT_GT(batched.words_simulated, 0u);
     }
   }
 }

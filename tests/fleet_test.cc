@@ -124,7 +124,6 @@ TEST(HashRing, VirtualNodesBalanceLoad) {
 
 TEST(HashRing, RejectsDegenerateConfigurations) {
   EXPECT_THROW(HashRing({}, 64), std::invalid_argument);
-  EXPECT_THROW(HashRing({"a", "a"}, 64), std::invalid_argument);
   EXPECT_THROW(HashRing({"a"}, 0), std::invalid_argument);
   const HashRing ring({"a", "b"}, 8);
   EXPECT_THROW(ring.PickExcluding(1, {true, true}), std::invalid_argument);
@@ -212,6 +211,55 @@ TEST(Fleet, RoutingIsShardAffine) {
     EXPECT_EQ(shards_with_requests, 1u);
   }
   fleet.Shutdown();
+}
+
+// Per-shard analyze_spcf counts after sending circuit j 2^j times through a
+// two-shard fleet: the counts pin which shard served each circuit.
+std::vector<std::uint64_t> PlacementCounts(FleetOptions options) {
+  options.num_shards = 2;
+  options.shard_options.num_workers = 1;
+  SpeedmaskFleet fleet(options);
+  fleet.Start();
+  std::vector<std::uint64_t> counts;
+  {
+    ServiceClient client(fleet.address());
+    int repeats = 1;
+    for (const char* circuit : {"i1", "cmb", "x2", "cu"}) {
+      for (int r = 0; r < repeats; ++r) {
+        EXPECT_TRUE(client.AnalyzeSpcf(circuit).ok()) << circuit;
+      }
+      repeats *= 2;
+    }
+    const Json stats = Json::Parse(client.Stats().result_json);
+    for (const Json& entry : stats.Find("shards")->AsArray()) {
+      counts.push_back(entry.Find("stats")
+                           ->Find("requests_by_method")
+                           ->GetUint64("analyze_spcf", 0));
+    }
+  }
+  fleet.Shutdown();
+  return counts;
+}
+
+// Placement follows the position in the shard list, not the addresses: a
+// second fleet on another listen address, with the first fleet's shard
+// addresses listed in swapped order, routes every circuit to the same slot.
+// (Keyed on addresses, each circuit would follow its address to the other
+// slot, and 15 requests cannot split evenly.)
+TEST(Fleet, PlacementIgnoresShardAddresses) {
+  const std::string x = TestSocket("place_x");
+  const std::string y = TestSocket("place_y");
+  FleetOptions a;
+  a.listen_address = TestSocket("place_a");
+  a.shard_addresses = {x, y};
+  const std::vector<std::uint64_t> first = PlacementCounts(a);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0] + first[1], 15u);
+
+  FleetOptions b;
+  b.listen_address = TestSocket("place_b");
+  b.shard_addresses = {y, x};
+  EXPECT_EQ(PlacementCounts(b), first);
 }
 
 TEST(Fleet, AggregatedStatsShape) {
@@ -436,24 +484,14 @@ class MisbehavingShard {
   std::atomic<int> connections_{0};
 };
 
-// The router hashes the circuit onto the shard *address* ring, so which
-// shard serves "i1" is a pure function of the address strings. To plant the
-// impostor on i1's path, try candidate socket paths until the ring routes
-// i1 to the impostor's slot.
-std::string PlantOnCircuitPath(const std::string& other_address,
-                               const char* tag, int vnodes) {
+// The router's ring is keyed on shard positions (s0, s1, ...), so the slot
+// that serves "i1" in a two-shard router is known before any address is.
+std::size_t SlotOfI1InTwoShards() {
   ServiceRequest probe;
   probe.method = ServiceMethod::kAnalyzeSpcf;
   probe.circuit_name = "i1";
-  const std::uint64_t key = HashNetwork(ResolveCircuit(probe));
-  for (int i = 0; i < 64; ++i) {
-    const std::string candidate =
-        TestSocket((std::string(tag) + "_" + std::to_string(i)).c_str());
-    if (HashRing({candidate, other_address}, vnodes).Pick(key) == 0) {
-      return candidate;
-    }
-  }
-  return "";  // 2^-64: effectively unreachable
+  return static_cast<std::size_t>(
+      HashRing({"s0", "s1"}).Pick(HashNetwork(ResolveCircuit(probe))));
 }
 
 TEST(Fleet, FailoverWhenShardDiesMidResponseFrame) {
@@ -473,11 +511,10 @@ TEST(Fleet, FailoverWhenShardDiesMidResponseFrame) {
 
   RouterOptions ro;
   ro.listen_address = TestSocket("half_router");
-  const std::string fake_path = PlantOnCircuitPath(
-      real_options.listen_address, "half_fake", ro.vnodes_per_shard);
-  ASSERT_FALSE(fake_path.empty());
+  const std::string fake_path = TestSocket("half_fake");
   MisbehavingShard fake(fake_path, MisbehavingShard::Mode::kHalfFrame);
-  ro.shards = {fake_path, real_options.listen_address};
+  ro.shards.assign(2, real_options.listen_address);
+  ro.shards[SlotOfI1InTwoShards()] = fake_path;
   FleetRouter router(ro);
   router.Start();
   {
@@ -514,11 +551,10 @@ TEST(Fleet, FailoverWhenShardAcceptsButNeverReplies) {
   // healthy shard's compute+reply, so it must comfortably exceed a cold
   // AnalyzeSpcf on a loaded single-core CI box — 200 ms flaked there.
   ro.shard_read_timeout_ms = 2000;
-  const std::string hung_path = PlantOnCircuitPath(
-      real_options.listen_address, "hung_fake", ro.vnodes_per_shard);
-  ASSERT_FALSE(hung_path.empty());
+  const std::string hung_path = TestSocket("hung_fake");
   MisbehavingShard hung(hung_path, MisbehavingShard::Mode::kNeverReplies);
-  ro.shards = {hung_path, real_options.listen_address};
+  ro.shards.assign(2, real_options.listen_address);
+  ro.shards[SlotOfI1InTwoShards()] = hung_path;
   FleetRouter router(ro);
   router.Start();
   {
@@ -636,7 +672,7 @@ TEST(Fleet, RejectsDegenerateOptions) {
   }
   {
     RouterOptions o;
-    o.shards = {"/tmp/a.sock", "/tmp/a.sock"};  // duplicate ring ids
+    o.shards = {"/tmp/a.sock", "/tmp/a.sock"};  // duplicate addresses
     EXPECT_THROW(FleetRouter{o}, std::invalid_argument);
   }
 }

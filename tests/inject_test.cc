@@ -78,14 +78,16 @@ TEST(Inject, ThreadCountDoesNotChangeResults) {
   const FlowResult flow = ComparatorFlow(lib, 6);
 
   InjectOptions options;
-  options.vectors_per_site = 6;
+  options.vectors_per_site = 24;
   options.threads = 1;
   const InjectionCampaignResult one = RunFaultInjectionCampaign(flow, options);
   options.threads = 8;
-  options.chunk = 3;  // uneven chunking must not matter either
   const InjectionCampaignResult eight =
       RunFaultInjectionCampaign(flow, options);
 
+  // Several 64-trial chunks, so the eight workers really split the work.
+  EXPECT_GT(one.trials, 3u * 64u);
+  EXPECT_EQ(one.words_simulated, eight.words_simulated);
   EXPECT_EQ(one.sites, eight.sites);
   EXPECT_EQ(one.trials, eight.trials);
   EXPECT_EQ(one.benign, eight.benign);
@@ -102,6 +104,17 @@ TEST(Inject, ThreadCountDoesNotChangeResults) {
               EncodeEscapeRecordJson(eight.escape_records[i], eight.clock,
                                      eight.protected_clock));
   }
+}
+
+// sites x vectors_per_site wraps for 2^63 vectors on an even site count;
+// the wrapped campaign once ran no trials and certified zero escapes.
+TEST(Inject, RejectsATrialCountThatOverflows) {
+  const Library lib = UnitLibrary();
+  const FlowResult flow = ComparatorFlow(lib, 6);
+  InjectOptions options;
+  options.max_sites = 4;
+  options.vectors_per_site = std::size_t{1} << 63;
+  EXPECT_THROW(RunFaultInjectionCampaign(flow, options), std::invalid_argument);
 }
 
 TEST(Inject, SelectFaultSitesStrategies) {

@@ -515,6 +515,17 @@ TEST(Service, ErrorsComeBackTyped) {
     EXPECT_EQ(big_seed.code, "invalid_request");
     EXPECT_NE(big_seed.error.find("2^53"), std::string::npos);
 
+    // 4 sites x 2^63 vectors wraps the trial count to 0: the campaign must
+    // refuse instead of certifying zero escapes (and caching that answer).
+    const ServiceResponse wrapped = client.InjectCampaign(
+        "cmb", 0.1, FaultSiteStrategy::kExhaustiveSpeedPaths, /*sites=*/4,
+        /*vectors=*/std::uint64_t{1} << 63);
+    EXPECT_EQ(wrapped.status, "error");
+    EXPECT_FALSE(wrapped.code.empty());
+    EXPECT_NE(wrapped.error.find("overflows the trial count"),
+              std::string::npos)
+        << wrapped.error;
+
     // The daemon survived all of it.
     EXPECT_TRUE(client.AnalyzeSpcf("i1").ok());
     EXPECT_TRUE(client.Shutdown().ok());

@@ -167,7 +167,6 @@ TEST_F(VariationEngineTest, ShiftedSamplingReportsLikelihoodRatios) {
 TEST_F(VariationEngineTest, ThreadCountDoesNotChangeResults) {
   YieldMcOptions options;
   options.trials = 300;
-  options.chunk = 7;
   options.seed = 424242;
   options.model.sigma = 0.08;
   options.classify_transitions = 4;
