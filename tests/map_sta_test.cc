@@ -1,13 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+
+#include "harness/flow.h"
 #include "liblib/lsi10k.h"
 #include "map/mapped_bdd.h"
 #include "map/mapped_netlist.h"
+#include "map/netlist_io.h"
 #include "map/tech_map.h"
+#include "network/blif.h"
+#include "network/decompose.h"
 #include "network/global_bdd.h"
 #include "network/structural.h"
 #include "sta/paths.h"
 #include "sta/sta.h"
+#include "suite/paper_suite.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -302,6 +311,112 @@ TEST(TechMap, RejectsNonSubjectGraph) {
   net.AddOutput("y", x);
   EXPECT_THROW(TechMap(net, Lsi10kLike()), std::invalid_argument);
   EXPECT_NO_THROW(DecomposeAndMap(net, Lsi10kLike()));
+}
+
+std::uint64_t DigestSubject(const DecomposeResult& d) {
+  Hasher h;
+  h.AddBytes(WriteBlifString(d.network));
+  for (NodeId s : d.node_map) h.Add(s);
+  return h.Digest();
+}
+
+std::uint64_t DigestMapped(const TechMapResult& m) {
+  Hasher h;
+  h.AddBytes(WriteMappedBlifString(m.netlist));
+  for (GateId g : m.node_map) h.Add(g);
+  return h.Digest();
+}
+
+// Byte digests of the subject graphs and mapped netlists of the 20 Table-2
+// circuits (area mode) and of their flows' masking networks (the delay mode
+// IntegrateMasking uses), recorded before the mapper's internals were
+// rewritten. A change to decomposition, cut enumeration, pruning or any DP
+// tie-break moves one of them.
+struct MapDigests {
+  const char* circuit;
+  std::uint64_t subject;
+  std::uint64_t original;
+  std::uint64_t mask_subject;
+  std::uint64_t mask;
+};
+
+TEST(TechMap, Table2NetlistsMatchRecordedDigests) {
+  const std::vector<MapDigests> want = {
+      {"i1", 0x399fa99009e92f26ull, 0x4e5b257cf5634f36ull,
+       0xa57171f7516a9298ull, 0x45a4f9ae4422e1d0ull},
+      {"cmb", 0xe1340e71bbc30e10ull, 0x120c7535a7376368ull,
+       0x909071f374bb0f5cull, 0xd8e848e56e498d7eull},
+      {"x2", 0x7023045cea807cc9ull, 0xb58f6bc2032a31a1ull,
+       0x7d38f79fe844abb2ull, 0x7c66e2ebaa868e43ull},
+      {"cu", 0x9ace625e3bc36a2dull, 0x191039eee6fe39cdull,
+       0x420c55fae87a06f1ull, 0x0caff0aaf6c57e99ull},
+      {"too_large", 0xeb6178353f04af97ull, 0xd362d1ca5db438e2ull,
+       0x6f1f12f2d6fa16c3ull, 0x7e214917ba8f41d2ull},
+      {"k2", 0x72bda21dc552f10bull, 0x96de200e3fa0177aull,
+       0x51dfe1811177511cull, 0xc00fa3755ce2ed64ull},
+      {"alu2", 0x3d562fe5e2d76b93ull, 0x37ab59399adac9f5ull,
+       0xe4ba59f0315bb9dfull, 0xa0568946f55d8be1ull},
+      {"alu4", 0x2dbcd7be1944d051ull, 0xf6d03bdb0bf28f1cull,
+       0xdcc0ecd1da1745a1ull, 0x967645372014b873ull},
+      {"apex4", 0x28c14cc2fdf1fa0eull, 0xa8d24a8ba0f9a455ull,
+       0x160f3a3e323e8c78ull, 0x8da7a7301114c9d1ull},
+      {"apex6", 0xf2f78b66fa29a508ull, 0x238d24871f33877cull,
+       0x706fab28b278d252ull, 0x6cfe20b0f331e31eull},
+      {"frg1", 0x041a56958eff0f8aull, 0x083fbcda692aeaa1ull,
+       0xac2c73e1a2813aafull, 0x13fb1bba980ad333ull},
+      {"C432", 0xbd47d9669ef3af19ull, 0x78d2cb50d2b8c202ull,
+       0x26ebe917f6a4413eull, 0x07a541f9324fd807ull},
+      {"C880", 0x336a36a5ab5446b1ull, 0xd5c82db10a1871a1ull,
+       0xb8260c0f468c86a0ull, 0xec17876820689d50ull},
+      {"C2670", 0x9742d9b10102c290ull, 0x6c30bf5525929c79ull,
+       0x9378926056c64b9aull, 0xea6c42d91a5a080eull},
+      {"sparc_ifu_dec", 0xdd4ecbf98527ed3bull, 0xab700e5981ada246ull,
+       0xce1b48bd2274e4a2ull, 0x5d9dbee31448e8d7ull},
+      {"sparc_ifu_invctl", 0x61f660376533e89full, 0x151af55a437c78c4ull,
+       0xc927a436fcdd0b59ull, 0xfaeaed3cc2c2d1feull},
+      {"sparc_ifu_ifqdp", 0x9b02ac4c5d1f0269ull, 0x52806c677c09fffcull,
+       0xe63be72fd78bda51ull, 0x8f8cd069eaf02923ull},
+      {"sparc_ifu_dcl", 0xf44867f317c1cba0ull, 0xfc794398fee87c43ull,
+       0x8f7859bf94188722ull, 0x1196d75813f4ff3eull},
+      {"lsu_stb_ctl", 0xfaee249b4ed0e441ull, 0x7161eed24e08e69dull,
+       0x7e4d3f64c03cc777ull, 0x54c3413efac73f47ull},
+      {"sparc_exu_ecl", 0xd9a2bd13bcd81e9aull, 0x4562d57dfc8fb412ull,
+       0x8ad68d97ee8214fbull, 0xe2d6a743869dfcfaull},
+  };
+  const std::vector<PaperCircuitInfo> infos = Table2Circuits();
+  const std::vector<Network> nets = GenerateCircuits(infos, 1);
+  const Library lib = Lsi10kLike();
+  FlowOptions flow_options;
+  flow_options.spcf.guard_band = 0.1;
+  const TechMapOptions mask_options = IntegrateOptions{}.mask_map_options;
+  ASSERT_EQ(want.size(), nets.size());
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const Network& ti = nets[i];
+    const DecomposeResult subject = DecomposeToAndInv(ti);
+    const TechMapResult original = TechMap(subject.network, lib);
+    const FlowResult flow = RunMaskingFlow(ti, lib, flow_options);
+    EXPECT_EQ(WriteMappedBlifString(original.netlist),
+              WriteMappedBlifString(flow.original))
+        << ti.name() << ": the flow maps C differently";
+    const DecomposeResult mask_subject =
+        DecomposeToAndInv(flow.masking.network);
+    const TechMapResult mask =
+        TechMap(mask_subject.network, lib, mask_options);
+    const MapDigests got = {want[i].circuit, DigestSubject(subject),
+                            DigestMapped(original),
+                            DigestSubject(mask_subject), DigestMapped(mask)};
+    EXPECT_EQ(ti.name(), want[i].circuit);
+    if (got.subject != want[i].subject || got.original != want[i].original ||
+        got.mask_subject != want[i].mask_subject || got.mask != want[i].mask) {
+      char row[160];
+      std::snprintf(row, sizeof(row),
+                    "{\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64
+                    "ull, 0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull},",
+                    ti.name().c_str(), got.subject, got.original,
+                    got.mask_subject, got.mask);
+      ADD_FAILURE() << "digests moved; got " << row;
+    }
+  }
 }
 
 }  // namespace
