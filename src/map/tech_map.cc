@@ -1,8 +1,9 @@
 #include "map/tech_map.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
-#include <map>
+#include <numeric>
 #include <unordered_map>
 
 #include "network/decompose.h"
@@ -13,12 +14,76 @@ namespace {
 
 using Mode = TechMapOptions::Mode;
 
-struct Match {
-  const Cell* cell;
-  std::vector<int> perm;  // perm[pin] = leaf index the pin connects to
+// Cut enumeration bounds: leaves per cut (further clamped to the library's
+// widest cell) and non-trivial cuts kept per node.
+constexpr int kMaxCutLeaves = 4;
+constexpr std::size_t kMaxCutsPerNode = 16;
+static_assert(kMaxCutLeaves <= 5, "a cut's table and its mask fit a word");
+
+// Truth tables of the cut variables, bit m = value at minterm m.
+constexpr std::array<std::uint64_t, kMaxCutLeaves> kVarBits = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull};
+
+// Minterm bits in use by a table over `k` variables.
+std::uint64_t TableMask(int k) {
+  return (1ull << (1u << k)) - 1;
+}
+
+// Bits of a table over at most kMaxCutLeaves variables, as a word.
+std::uint64_t TableBits(const TruthTable& t) {
+  std::uint64_t bits = 0;
+  for (std::uint64_t m = 0; m < t.num_minterms_space(); ++m) {
+    if (t.Get(m)) bits |= 1ull << m;
+  }
+  return bits;
+}
+
+// Sorted leaf ids, held inline.
+struct Cut {
+  int size = 0;
+  std::array<NodeId, kMaxCutLeaves> leaf{};
+
+  const NodeId* begin() const { return leaf.data(); }
+  const NodeId* end() const { return leaf.data() + size; }
+  bool operator==(const Cut& o) const {
+    return std::equal(begin(), end(), o.begin(), o.end());
+  }
 };
 
-// Permutation-complete match table: truth-table bits -> matches.
+// Fewer leaves first, then lexicographic.
+bool CutLess(const Cut& a, const Cut& b) {
+  if (a.size != b.size) return a.size < b.size;
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+}
+
+// Sorted union of two cuts into `out`; false when it exceeds k leaves.
+bool MergeCuts(const Cut& a, const Cut& b, int k, Cut& out) {
+  int i = 0;
+  int j = 0;
+  out.size = 0;
+  while (i < a.size || j < b.size) {
+    NodeId next;
+    if (j == b.size || (i < a.size && a.leaf[i] < b.leaf[j])) {
+      next = a.leaf[i++];
+    } else if (i == a.size || b.leaf[j] < a.leaf[i]) {
+      next = b.leaf[j++];
+    } else {
+      next = a.leaf[i++];
+      ++j;
+    }
+    if (out.size == k) return false;
+    out.leaf[out.size++] = next;
+  }
+  return true;
+}
+
+struct Match {
+  const Cell* cell;
+  std::array<int, kMaxCutLeaves> perm;  // perm[pin] = leaf index of the pin
+};
+
+// Permutation-complete match table: (k, truth-table word) -> matches.
 class MatchTable {
  public:
   MatchTable(const Library& lib, int max_leaves) {
@@ -26,84 +91,99 @@ class MatchTable {
       const int k = cell->num_pins();
       if (k < 1 || k > max_leaves) continue;
       std::vector<int> perm(static_cast<std::size_t>(k));
-      for (int i = 0; i < k; ++i) perm[static_cast<std::size_t>(i)] = i;
-      std::sort(perm.begin(), perm.end());
+      std::iota(perm.begin(), perm.end(), 0);
       do {
-        const std::string key = cell->function().Remap(perm, k).ToBits();
-        auto& bucket = table_[key];
+        auto& bucket = table_[k][TableBits(cell->function().Remap(perm, k))];
         // One permutation per (cell, key) suffices: pin delays are
         // per-pin, so keep the first permutation found for each cell.
         const bool seen = std::any_of(
             bucket.begin(), bucket.end(),
             [cell](const Match& m) { return m.cell == cell; });
-        if (!seen) bucket.push_back(Match{cell, perm});
+        if (!seen) {
+          Match m{cell, {}};
+          std::copy(perm.begin(), perm.end(), m.perm.begin());
+          bucket.push_back(m);
+        }
       } while (std::next_permutation(perm.begin(), perm.end()));
     }
   }
 
-  const std::vector<Match>* Find(const std::string& bits) const {
-    const auto it = table_.find(bits);
-    return it == table_.end() ? nullptr : &it->second;
+  const std::vector<Match>* Find(int k, std::uint64_t bits) const {
+    const auto it = table_[k].find(bits);
+    return it == table_[k].end() ? nullptr : &it->second;
   }
 
  private:
-  std::unordered_map<std::string, std::vector<Match>> table_;
+  std::array<std::unordered_map<std::uint64_t, std::vector<Match>>,
+             kMaxCutLeaves + 1>
+      table_;
 };
 
-using Cut = std::vector<NodeId>;  // sorted leaf ids
+// The subject graph in flat arrays.
+struct SubjectNode {
+  std::array<NodeId, 2> fanin{};
+  int num_fanins = 0;
+  bool leaf_only = false;  // primary input or constant
+};
 
-// Merges two sorted leaf sets; empty result signals overflow past k.
-Cut MergeCuts(const Cut& a, const Cut& b, int k) {
-  Cut out;
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  if (static_cast<int>(out.size()) > k) out.clear();
-  return out;
-}
+// Function of a node over a cut, by DFS from the node down to the leaves.
+// Every leaf is a free variable, even one inside another leaf's cone, so
+// the table is that of the gate wired to the leaves, not a composition of
+// the fanin cuts' tables.
+class CutEvaluator {
+ public:
+  explicit CutEvaluator(const std::vector<SubjectNode>& nodes)
+      : nodes_(nodes), value_(nodes.size()), stamp_(nodes.size(), 0) {}
+
+  std::uint64_t operator()(NodeId root, const Cut& cut, std::uint64_t mask) {
+    ++epoch_;
+    for (int i = 0; i < cut.size; ++i) {
+      stamp_[cut.leaf[i]] = epoch_;
+      value_[cut.leaf[i]] = kVarBits[static_cast<std::size_t>(i)] & mask;
+    }
+    stack_.assign(1, root);
+    while (!stack_.empty()) {
+      const NodeId id = stack_.back();
+      if (stamp_[id] == epoch_) {
+        stack_.pop_back();
+        continue;
+      }
+      const SubjectNode& s = nodes_[id];
+      SM_CHECK(!s.leaf_only,
+               "cut does not cover the cone (reached a free input)");
+      bool ready = true;
+      for (int i = 0; i < s.num_fanins; ++i) {
+        if (stamp_[s.fanin[i]] != epoch_) {
+          stack_.push_back(s.fanin[i]);
+          ready = false;
+        }
+      }
+      if (!ready) continue;
+      stack_.pop_back();
+      // A one-fanin node is an inverter (buffers never survive decompose).
+      value_[id] = s.num_fanins == 1
+                       ? ~value_[s.fanin[0]] & mask
+                       : value_[s.fanin[0]] & value_[s.fanin[1]];
+      stamp_[id] = epoch_;
+    }
+    return value_[root];
+  }
+
+ private:
+  const std::vector<SubjectNode>& nodes_;
+  std::vector<std::uint64_t> value_;
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+  std::vector<NodeId> stack_;
+};
 
 struct Choice {
   const Cell* cell = nullptr;
   Cut leaves;
-  std::vector<int> perm;
+  std::array<int, kMaxCutLeaves> perm{};
   double cost = std::numeric_limits<double>::infinity();     // area flow
   double arrival = std::numeric_limits<double>::infinity();  // delay mode
 };
-
-// Computes the function of `root` over cut `leaves` by local DFS.
-TruthTable CutFunction(const Network& net, NodeId root, const Cut& leaves) {
-  const int k = static_cast<int>(leaves.size());
-  std::unordered_map<NodeId, TruthTable> memo;
-  std::vector<NodeId> stack{root};
-  for (int i = 0; i < k; ++i) {
-    memo.emplace(leaves[static_cast<std::size_t>(i)], TruthTable::Var(i, k));
-  }
-  // Iterative post-order evaluation.
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    if (memo.count(n) != 0) {
-      stack.pop_back();
-      continue;
-    }
-    SM_CHECK(net.kind(n) == NodeKind::kLogic,
-             "cut does not cover the cone (reached a free input)");
-    bool ready = true;
-    for (NodeId f : net.fanins(n)) {
-      if (memo.count(f) == 0) {
-        stack.push_back(f);
-        ready = false;
-      }
-    }
-    if (!ready) continue;
-    stack.pop_back();
-    const Sop& fn = net.function(n);
-    if (fn.num_vars() == 1) {  // inverter (buffers never survive decompose)
-      memo.emplace(n, ~memo.at(net.fanins(n)[0]));
-    } else {
-      memo.emplace(n, memo.at(net.fanins(n)[0]) & memo.at(net.fanins(n)[1]));
-    }
-  }
-  return memo.at(root);
-}
 
 }  // namespace
 
@@ -112,69 +192,88 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
   SM_REQUIRE(IsAndInvNetwork(subject),
              "TechMap requires an AND2/INV subject graph");
   SM_REQUIRE(lib.SmallestInverter() != nullptr, "library lacks an inverter");
-  const int k = std::min({options.max_cut_leaves, lib.MaxPins(), 6});
+  const int k = std::min(kMaxCutLeaves, lib.MaxPins());
   SM_REQUIRE(k >= 2, "mapper needs cuts of at least 2 leaves");
   const MatchTable matches(lib, k);
 
   const std::size_t n = subject.NumNodes();
-  const auto& fanouts = subject.Fanouts();
-
-  // Leaf-only ids: primary inputs and constant nodes.
-  auto leaf_only = [&](NodeId id) {
-    return subject.kind(id) == NodeKind::kInput ||
-           subject.fanins(id).empty();
-  };
+  std::vector<SubjectNode> nodes(n);
+  std::vector<double> refs(n, 0.0);  // fanout count, at least 1
+  for (NodeId id = 0; id < n; ++id) {
+    const auto& fin = subject.fanins(id);
+    SubjectNode& s = nodes[id];
+    s.num_fanins = static_cast<int>(fin.size());
+    std::copy(fin.begin(), fin.end(), s.fanin.begin());
+    s.leaf_only = subject.kind(id) == NodeKind::kInput || fin.empty();
+    for (NodeId f : fin) refs[f] += 1.0;
+  }
+  for (double& r : refs) r = std::max(r, 1.0);
 
   // --- cut enumeration + matching DP, one topological pass -------------
-  std::vector<std::vector<Cut>> cuts(n);
+  // The cuts of node id are pool[first[id] .. first[id + 1]): the trivial
+  // cut {id}, used by fanouts, then the node's own cuts.
+  std::vector<Cut> pool;
+  std::vector<std::size_t> first(n + 1, 0);
   std::vector<Choice> best(n);
+  CutEvaluator cut_function(nodes);
+  std::vector<Cut> mine;
   for (NodeId id = 0; id < n; ++id) {
-    cuts[id].push_back(Cut{id});  // trivial cut, used by fanouts
-    if (leaf_only(id)) continue;
+    const SubjectNode& s = nodes[id];
+    Cut trivial;
+    trivial.size = 1;
+    trivial.leaf[0] = id;
+    if (s.leaf_only) {
+      pool.push_back(trivial);
+      first[id + 1] = pool.size();
+      continue;
+    }
 
-    const auto& fin = subject.fanins(id);
-    std::vector<Cut> mine;
-    if (fin.size() == 1) {
-      for (const Cut& c : cuts[fin[0]]) mine.push_back(c);
+    mine.clear();
+    const NodeId f0 = s.fanin[0];
+    if (s.num_fanins == 1) {
+      mine.assign(pool.begin() + static_cast<std::ptrdiff_t>(first[f0]),
+                  pool.begin() + static_cast<std::ptrdiff_t>(first[f0 + 1]));
     } else {
-      for (const Cut& ca : cuts[fin[0]]) {
-        for (const Cut& cb : cuts[fin[1]]) {
-          Cut m = MergeCuts(ca, cb, k);
-          if (!m.empty()) mine.push_back(m);
+      const NodeId f1 = s.fanin[1];
+      Cut m;
+      for (std::size_t a = first[f0]; a < first[f0 + 1]; ++a) {
+        for (std::size_t b = first[f1]; b < first[f1 + 1]; ++b) {
+          if (MergeCuts(pool[a], pool[b], k, m)) mine.push_back(m);
         }
       }
     }
     // Dedupe and prune: smaller cuts first, cap the list.
-    std::sort(mine.begin(), mine.end(),
-              [](const Cut& a, const Cut& b) {
-                return a.size() != b.size() ? a.size() < b.size() : a < b;
-              });
+    std::sort(mine.begin(), mine.end(), CutLess);
     mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
-    if (static_cast<int>(mine.size()) > options.max_cuts_per_node) {
-      mine.resize(static_cast<std::size_t>(options.max_cuts_per_node));
-    }
+    if (mine.size() > kMaxCutsPerNode) mine.resize(kMaxCutsPerNode);
     // The direct-fanin cut is the feasibility anchor (it always matches an
     // AND2 or inverter); re-append it if pruning dropped it.
     {
-      Cut direct(fin.begin(), fin.end());
-      std::sort(direct.begin(), direct.end());
-      direct.erase(std::unique(direct.begin(), direct.end()), direct.end());
+      Cut direct;
+      direct.size = 1;
+      direct.leaf[0] = f0;
+      if (s.num_fanins == 2 && s.fanin[1] != f0) {
+        direct.size = 2;
+        direct.leaf[0] = std::min(f0, s.fanin[1]);
+        direct.leaf[1] = std::max(f0, s.fanin[1]);
+      }
       if (std::find(mine.begin(), mine.end(), direct) == mine.end()) {
-        mine.push_back(std::move(direct));
+        mine.push_back(direct);
       }
     }
-    // Publish the non-trivial cuts for fanouts (the trivial cut is already
-    // in place at the front).
-    cuts[id].insert(cuts[id].end(), mine.begin(), mine.end());
+    pool.push_back(trivial);
+    pool.insert(pool.end(), mine.begin(), mine.end());
+    first[id + 1] = pool.size();
 
     // DP over matches of each cut.
     Choice& my = best[id];
     for (const Cut& cut : mine) {
-      const TruthTable f = CutFunction(subject, id, cut);
+      const std::uint64_t mask = TableMask(cut.size);
+      const std::uint64_t f = cut_function(id, cut, mask);
       // A constant cut function means the node is structurally constant
       // (e.g. AND of a signal with its inverse); a tie cell realizes it.
-      if (f.IsConst0() || f.IsConst1()) {
-        const Cell* tie_cell = lib.SmallestConstant(f.IsConst1());
+      if (f == 0 || f == mask) {
+        const Cell* tie_cell = lib.SmallestConstant(f == mask);
         if (tie_cell != nullptr &&
             (options.mode == Mode::kArea ? tie_cell->area() < my.cost
                                          : 0.0 < my.arrival)) {
@@ -182,21 +281,19 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
         }
         continue;
       }
-      const std::vector<Match>* bucket = matches.Find(f.ToBits());
+      const std::vector<Match>* bucket = matches.Find(cut.size, f);
       if (bucket == nullptr) continue;
       for (const Match& m : *bucket) {
         double flow = m.cell->area();
         for (NodeId leaf : cut) {
-          if (leaf_only(leaf)) continue;
-          const double refs =
-              std::max<std::size_t>(1, fanouts[leaf].size());
-          flow += best[leaf].cost / static_cast<double>(refs);
+          if (!nodes[leaf].leaf_only) flow += best[leaf].cost / refs[leaf];
         }
         double arrival = 0;
         for (int pin = 0; pin < m.cell->num_pins(); ++pin) {
-          const NodeId leaf =
-              cut[static_cast<std::size_t>(m.perm[static_cast<std::size_t>(pin)])];
-          const double leaf_arr = leaf_only(leaf) ? 0.0 : best[leaf].arrival;
+          const NodeId leaf = cut.leaf[static_cast<std::size_t>(
+              m.perm[static_cast<std::size_t>(pin)])];
+          const double leaf_arr =
+              nodes[leaf].leaf_only ? 0.0 : best[leaf].arrival;
           arrival = std::max(arrival, leaf_arr + m.cell->pin_delay(pin));
         }
         const bool better =
@@ -213,7 +310,7 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
     SM_CHECK(my.cell != nullptr,
              "no library match for node " << subject.node_name(id)
                                           << " — library incomplete");
-    // Leaf-only nodes keep arrival 0 / cost 0 implicitly via leaf_only().
+    // Leaf-only nodes keep arrival 0 / cost 0 implicitly via leaf_only.
   }
 
   // --- extraction -------------------------------------------------------
@@ -244,7 +341,7 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
       work.pop_back();
       continue;
     }
-    if (subject.fanins(id).empty() && subject.kind(id) == NodeKind::kLogic) {
+    if (nodes[id].num_fanins == 0 && subject.kind(id) == NodeKind::kLogic) {
       result.node_map[id] = get_tie(subject.function(id).IsConst1());
       work.pop_back();
       continue;
@@ -267,7 +364,7 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
     std::vector<GateId> fanin_gates(static_cast<std::size_t>(
         ch.cell->num_pins()));
     for (int pin = 0; pin < ch.cell->num_pins(); ++pin) {
-      const NodeId leaf = ch.leaves[static_cast<std::size_t>(
+      const NodeId leaf = ch.leaves.leaf[static_cast<std::size_t>(
           ch.perm[static_cast<std::size_t>(pin)])];
       fanin_gates[static_cast<std::size_t>(pin)] = result.node_map[leaf];
     }

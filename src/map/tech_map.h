@@ -1,11 +1,12 @@
 // Cut-based technology mapping.
 //
 // Input: an AND2/INV subject graph (from DecomposeToAndInv). For every node
-// we enumerate K-feasible cuts, compute each cut's local function, and match
-// it against the library by permutation-complete truth-table lookup. A
-// dynamic program then chooses per-node matches minimizing either area flow
-// (area mode) or arrival time (delay mode, area flow as tie-break) — the
-// standard mapper structure (ABC-style) in a compact form.
+// we enumerate K-feasible cuts (K = 4, or the library's widest cell if
+// narrower; at most 16 cuts per node), compute each cut's local function,
+// and match it against the library by permutation-complete truth-table
+// lookup. A dynamic program then chooses per-node matches minimizing either
+// area flow (area mode) or arrival time (delay mode, area flow as
+// tie-break) — the standard mapper structure (ABC-style) in a compact form.
 //
 // The flow maps the original circuit in area mode (Table 2's baseline) and
 // the error-masking circuit in delay mode (to bank slack).
@@ -22,10 +23,6 @@ namespace sm {
 struct TechMapOptions {
   enum class Mode { kArea, kDelay };
   Mode mode = Mode::kArea;
-  // Cut enumeration bounds. max_cut_leaves is clamped to the library's
-  // widest cell and to 6.
-  int max_cut_leaves = 4;
-  int max_cuts_per_node = 16;
 };
 
 struct TechMapResult {

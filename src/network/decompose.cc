@@ -1,54 +1,60 @@
 #include "network/decompose.h"
 
 #include <algorithm>
+#include <array>
 #include <queue>
 #include <unordered_map>
 
 #include "boolean/isop.h"
 #include "util/check.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
 
-Sop And2Sop() {
-  return Sop(2, {Cube::Literal(0, true).Intersect(Cube::Literal(1, true))});
-}
-
-Sop InvSop() { return Sop(1, {Cube::Literal(0, false)}); }
-
-// Builds AND2/INV structure with structural hashing and per-node arrival
-// estimates (INV = 1, AND2 = 2 — the unit-delay ratios; only the relative
-// ordering matters). Trees are combined Huffman-style: earliest-arriving
-// operands first, which minimizes the tree's completion time.
+// Builds AND2/INV structure in a light arena, with structural hashing and
+// per-node arrival estimates (INV = 1, AND2 = 2 — the unit-delay ratios;
+// only the relative ordering matters). Trees are combined Huffman-style:
+// earliest-arriving operands first, which minimizes the tree's completion
+// time. Arena ids follow creation order; only the nodes that survive
+// pruning become a Network.
 class Builder {
  public:
-  explicit Builder(Network& out) : out_(out) {}
+  enum class Kind : std::uint8_t { kInput, kConst0, kConst1, kAnd, kInv };
+  struct Node {
+    Kind kind;
+    // AND: both operands, the smaller id first; INV: the operand; input:
+    // the node of the source network it stands for.
+    std::array<NodeId, 2> fanin;
+  };
 
-  void NoteInput(NodeId id) { Arr(id) = 0.0; }
+  // Inputs and constants, ready at time 0.
+  NodeId Leaf(Kind kind, NodeId source = kInvalidNode) {
+    return Add(Node{kind, {source, kInvalidNode}}, 0.0);
+  }
 
   NodeId And(NodeId a, NodeId b) {
     if (a > b) std::swap(a, b);
     const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-    const auto it = and_cache_.find(key);
-    if (it != and_cache_.end()) return it->second;
-    const NodeId id = out_.AddNode({a, b}, And2Sop());
-    Arr(id) = std::max(Arr(a), Arr(b)) + 2.0;
-    and_cache_.emplace(key, id);
-    return id;
+    const auto [it, inserted] =
+        and_cache_.emplace(key, static_cast<NodeId>(nodes_.size()));
+    if (!inserted) return it->second;
+    return Add(Node{Kind::kAnd, {a, b}},
+               std::max(arrival_[a], arrival_[b]) + 2.0);
   }
 
   NodeId Not(NodeId a) {
-    const auto it = inv_cache_.find(a);
-    if (it != inv_cache_.end()) return it->second;
-    const NodeId id = out_.AddNode({a}, InvSop());
-    Arr(id) = Arr(a) + 1.0;
-    inv_cache_.emplace(a, id);
-    return id;
+    if (inv_[a] == kInvalidNode) {
+      inv_[a] = Add(Node{Kind::kInv, {a, kInvalidNode}}, arrival_[a] + 1.0);
+    }
+    return inv_[a];
   }
 
   NodeId AndTree(std::vector<NodeId> ops) {
     SM_CHECK(!ops.empty(), "AndTree needs operands");
-    auto later = [this](NodeId x, NodeId y) { return Arr(x) > Arr(y); };
+    auto later = [this](NodeId x, NodeId y) {
+      return arrival_[x] > arrival_[y];
+    };
     std::priority_queue<NodeId, std::vector<NodeId>, decltype(later)> queue(
         later, std::move(ops));
     while (queue.size() > 1) {
@@ -86,19 +92,22 @@ class Builder {
     return OrTree(std::move(cube_roots));
   }
 
-  double Arrival(NodeId id) const {
-    const auto it = arrival_.find(id);
-    SM_CHECK(it != arrival_.end(), "arrival queried before construction");
-    return it->second;
-  }
+  double Arrival(NodeId id) const { return arrival_[id]; }
+  const std::vector<Node>& nodes() const { return nodes_; }
 
  private:
-  double& Arr(NodeId id) { return arrival_[id]; }
+  NodeId Add(const Node& node, double arrival) {
+    const NodeId id = static_cast<NodeId>(nodes_.size());
+    nodes_.push_back(node);
+    arrival_.push_back(arrival);
+    inv_.push_back(kInvalidNode);
+    return id;
+  }
 
-  Network& out_;
+  std::vector<Node> nodes_;
+  std::vector<double> arrival_;
+  std::vector<NodeId> inv_;  // node -> its inverter, or kInvalidNode
   std::unordered_map<std::uint64_t, NodeId> and_cache_;
-  std::unordered_map<NodeId, NodeId> inv_cache_;
-  std::unordered_map<NodeId, double> arrival_;
 };
 
 }  // namespace
@@ -121,41 +130,32 @@ bool IsAndInvNetwork(const Network& net) {
 }
 
 DecomposeResult DecomposeToAndInv(const Network& net) {
-  DecomposeResult result{Network(net.name()),
-                         std::vector<NodeId>(net.NumNodes(), kInvalidNode)};
-  Network& out = result.network;
-  Builder b(out);
-
+  using Kind = Builder::Kind;
+  Builder b;
+  std::vector<NodeId> root(net.NumNodes(), kInvalidNode);  // in the arena
   for (NodeId id = 0; id < net.NumNodes(); ++id) {
     if (net.kind(id) == NodeKind::kInput) {
-      const NodeId pi = out.AddInput(net.node_name(id));
-      b.NoteInput(pi);
-      result.node_map[id] = pi;
+      root[id] = b.Leaf(Kind::kInput, id);
       continue;
     }
     const Sop& f = net.function(id);
     const auto& fanins = net.fanins(id);
 
     if (f.num_vars() == 0 || f.IsConst0() || f.IsConst1()) {
-      const NodeId c =
-          out.AddNode({}, f.IsConst1() ? Sop::Const1(0) : Sop::Const0(0));
-      b.NoteInput(c);  // constants are ready at time 0
-      result.node_map[id] = c;
+      root[id] = b.Leaf(f.IsConst1() ? Kind::kConst1 : Kind::kConst0);
       continue;
     }
 
     std::vector<NodeId> leaf;
     leaf.reserve(fanins.size());
     for (NodeId fin : fanins) {
-      SM_CHECK(result.node_map[fin] != kInvalidNode,
-               "fanin not yet decomposed");
-      leaf.push_back(result.node_map[fin]);
+      SM_CHECK(root[fin] != kInvalidNode, "fanin not yet decomposed");
+      leaf.push_back(root[fin]);
     }
 
     // Dual-polarity decomposition: build both the cover of f and the
     // inverted cover of ~f, keep the earlier-arriving root. Structural
-    // hashing dedupes shared pieces; the mapper only realizes the root it is
-    // asked for, so the losing branch costs nothing downstream.
+    // hashing dedupes shared pieces; pruning drops the losing branch.
     const NodeId pos_root = b.BuildSop(f, leaf);
     NodeId chosen = pos_root;
     if (f.num_vars() <= kMaxTruthVars) {
@@ -166,49 +166,65 @@ DecomposeResult DecomposeToAndInv(const Network& net) {
         if (b.Arrival(neg_root) < b.Arrival(pos_root)) chosen = neg_root;
       }
     }
-    result.node_map[id] = chosen;
+    root[id] = chosen;
   }
 
-  for (const auto& o : net.outputs()) {
-    out.AddOutput(o.name, result.node_map[o.driver]);
-  }
-
-  // Prune the losing dual-polarity branches: keep only nodes reachable from
-  // the outputs (inputs are always preserved).
-  std::vector<bool> live(out.NumNodes(), false);
+  // Keep only the arena nodes reachable from the outputs (inputs are always
+  // preserved), named after their arena ids.
+  const std::vector<Builder::Node>& arena = b.nodes();
+  std::vector<bool> live(arena.size(), false);
   {
     std::vector<NodeId> stack;
-    for (const auto& o : out.outputs()) stack.push_back(o.driver);
+    for (const auto& o : net.outputs()) stack.push_back(root[o.driver]);
     while (!stack.empty()) {
       const NodeId id = stack.back();
       stack.pop_back();
       if (live[id]) continue;
       live[id] = true;
-      for (NodeId f : out.fanins(id)) stack.push_back(f);
+      const Builder::Node& node = arena[id];
+      if (node.kind == Kind::kAnd) stack.push_back(node.fanin[1]);
+      if (node.kind == Kind::kAnd || node.kind == Kind::kInv) {
+        stack.push_back(node.fanin[0]);
+      }
     }
   }
-  Network pruned(out.name());
-  std::vector<NodeId> remap(out.NumNodes(), kInvalidNode);
-  for (NodeId id = 0; id < out.NumNodes(); ++id) {
-    if (out.kind(id) == NodeKind::kInput) {
-      remap[id] = pruned.AddInput(out.node_name(id));
+  DecomposeResult result{Network(net.name()),
+                         std::vector<NodeId>(net.NumNodes(), kInvalidNode)};
+  Network& out = result.network;
+  const Sop and2(2, {Cube::Literal(0, true).Intersect(Cube::Literal(1, true))});
+  const Sop inv(1, {Cube::Literal(0, false)});
+  std::vector<NodeId> remap(arena.size(), kInvalidNode);
+  for (NodeId id = 0; id < arena.size(); ++id) {
+    const Builder::Node& node = arena[id];
+    if (node.kind == Kind::kInput) {
+      remap[id] = out.AddInput(net.node_name(node.fanin[0]));
       continue;
     }
     if (!live[id]) continue;
-    std::vector<NodeId> fanins;
-    for (NodeId f : out.fanins(id)) fanins.push_back(remap[f]);
-    remap[id] = pruned.AddNode(fanins, out.function(id), out.node_name(id));
-  }
-  for (const auto& o : out.outputs()) {
-    pruned.AddOutput(o.name, remap[o.driver]);
-  }
-  for (NodeId id = 0; id < net.NumNodes(); ++id) {
-    if (result.node_map[id] != kInvalidNode) {
-      result.node_map[id] = remap[result.node_map[id]];
+    const std::string name = IndexedName("n", id);
+    switch (node.kind) {
+      case Kind::kConst0:
+        remap[id] = out.AddNode({}, Sop::Const0(0), name);
+        break;
+      case Kind::kConst1:
+        remap[id] = out.AddNode({}, Sop::Const1(0), name);
+        break;
+      case Kind::kAnd:
+        remap[id] = out.AddNode({remap[node.fanin[0]], remap[node.fanin[1]]},
+                                and2, name);
+        break;
+      default:
+        remap[id] = out.AddNode({remap[node.fanin[0]]}, inv, name);
+        break;
     }
   }
-  pruned.CheckInvariants();
-  result.network = std::move(pruned);
+  for (const auto& o : net.outputs()) {
+    out.AddOutput(o.name, remap[root[o.driver]]);
+  }
+  for (NodeId id = 0; id < net.NumNodes(); ++id) {
+    result.node_map[id] = remap[root[id]];
+  }
+  out.CheckInvariants();
   return result;
 }
 
