@@ -21,8 +21,9 @@
 //      identical to each other; a graceful rolling restart of every shard
 //      under a live request stream must drop or duplicate nothing; and
 //      cold-compute throughput must scale near-linearly with shard count
-//      (>= 1.7x at 2 shards, >= 3x at 4 — gated only when the host has
-//      enough cores; the identity and restart gates always apply).
+//      (>= 1.7x at 2 shards, >= 3x at 4, each the median ratio over paired
+//      repetitions — gated only when the host has enough cores; the
+//      identity and restart gates always apply).
 //
 // Usage: service_load [--smoke] [--threads=N] [--json=PATH]
 //
@@ -43,6 +44,7 @@
 #include "service/json.h"
 #include "service/server.h"
 #include "support/bench_runner.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace sm {
@@ -216,13 +218,17 @@ double MeasureColdThroughput(const std::string& address,
   return seconds > 0 ? total / seconds : 0;
 }
 
+// Paired repetitions of the 1/2/4-shard throughput measurement.
+constexpr int kScalingReps = 5;
+
 struct FleetReport {
   bool identity_ok = false;
   bool restart_ok = false;
   std::size_t restart_sent = 0;
   std::size_t restart_answered_ok = 0;
-  double tput1 = 0, tput2 = 0, tput4 = 0;
-  double scale2 = 0, scale4 = 0;
+  double tput1 = 0, tput2 = 0, tput4 = 0;  // medians over repetitions
+  std::vector<double> scale2_reps, scale4_reps;  // one ratio per repetition
+  double scale2 = 0, scale4 = 0;                 // medians of the ratios
   bool scale2_gated = false, scale4_gated = false;
   bool scale2_ok = true, scale4_ok = true;  // true when waived
 };
@@ -310,20 +316,34 @@ FleetReport RunFleetPhase(bool smoke) {
   }
 
   // ---- Throughput scaling with shard count -------------------------------
+  // Host-speed phases move any single pass, so each repetition times 1, 2
+  // and 4 shards back to back, and the gates read the median of the
+  // per-repetition ratios.
   {
     const int clients = 8;
-    for (const int shards : {1, 2, 4}) {
-      auto fleet = StartFleet(shards, /*workers=*/2,
-                              "tp" + std::to_string(shards));
-      const double tput =
-          MeasureColdThroughput(fleet->address(), yield_set, clients);
-      if (shards == 1) rep.tput1 = tput;
-      if (shards == 2) rep.tput2 = tput;
-      if (shards == 4) rep.tput4 = tput;
-      fleet->Shutdown();
+    std::vector<double> tput1, tput2, tput4;
+    for (int r = 0; r < kScalingReps; ++r) {
+      for (const int shards : {1, 2, 4}) {
+        auto fleet =
+            StartFleet(shards, /*workers=*/2,
+                       "tp" + std::to_string(shards) + "r" + std::to_string(r));
+        const double tput =
+            MeasureColdThroughput(fleet->address(), yield_set, clients);
+        if (shards == 1) tput1.push_back(tput);
+        if (shards == 2) tput2.push_back(tput);
+        if (shards == 4) tput4.push_back(tput);
+        fleet->Shutdown();
+      }
+      rep.scale2_reps.push_back(tput1.back() > 0 ? tput2.back() / tput1.back()
+                                                 : 0);
+      rep.scale4_reps.push_back(tput1.back() > 0 ? tput4.back() / tput1.back()
+                                                 : 0);
     }
-    rep.scale2 = rep.tput1 > 0 ? rep.tput2 / rep.tput1 : 0;
-    rep.scale4 = rep.tput1 > 0 ? rep.tput4 / rep.tput1 : 0;
+    rep.tput1 = Percentile(tput1, 50);
+    rep.tput2 = Percentile(tput2, 50);
+    rep.tput4 = Percentile(tput4, 50);
+    rep.scale2 = Percentile(rep.scale2_reps, 50);
+    rep.scale4 = Percentile(rep.scale4_reps, 50);
     // Scaling needs real parallel hardware; identity/restart gates above
     // hold regardless.
     rep.scale2_gated = cores >= 4;
@@ -346,6 +366,12 @@ Json ToJson(const FleetReport& r) {
   obj.Set("throughput_rps_4shard", r.tput4);
   obj.Set("scale_2shard", r.scale2);
   obj.Set("scale_4shard", r.scale4);
+  Json reps2 = Json::MakeArray();
+  for (const double x : r.scale2_reps) reps2.Append(x);
+  obj.Set("scale_2shard_reps", std::move(reps2));
+  Json reps4 = Json::MakeArray();
+  for (const double x : r.scale4_reps) reps4.Append(x);
+  obj.Set("scale_4shard_reps", std::move(reps4));
   obj.Set("scale_2shard_gated", r.scale2_gated);
   obj.Set("scale_4shard_gated", r.scale4_gated);
   obj.Set("scale_2shard_ok", r.scale2_ok);
@@ -457,9 +483,10 @@ int Main(int argc, char** argv) {
             << "fleet 4-shard scaling >= 3.0x    : "
             << scale_verdict(fleet.scale4_gated, fleet.scale4_ok) << "\n";
 
-  std::cerr << "fleet throughput: " << fleet.tput1 << " / " << fleet.tput2
-            << " / " << fleet.tput4 << " req/s at 1/2/4 shards (scale "
-            << fleet.scale2 << "x, " << fleet.scale4 << "x)\n";
+  std::cerr << "fleet throughput (median): " << fleet.tput1 << " / "
+            << fleet.tput2 << " / " << fleet.tput4
+            << " req/s at 1/2/4 shards (scale " << fleet.scale2 << "x, "
+            << fleet.scale4 << "x)\n";
 
   std::cerr << "cold: p50 " << cold.p50_ms << " ms, p99 " << cold.p99_ms
             << " ms over " << cold.count << " requests\n"

@@ -313,6 +313,40 @@ TEST(TechMap, RejectsNonSubjectGraph) {
   EXPECT_NO_THROW(DecomposeAndMap(net, Lsi10kLike()));
 }
 
+// A cut's function treats every leaf as a free variable, even a leaf inside
+// another leaf's cone. Here y = ~(a & ~a) & ~(b & ~a): the cut {a, b, na}
+// of y has na = ~a among its leaves and a inside na's cone. Evaluated with
+// free leaves it is ~((a | b) & na), one OAI21. Composing the fanin cuts'
+// tables instead ties a to na's cone, makes a & ~a constant 0 and maps y
+// to an AOI21 fed by a tie cell.
+TEST(TechMap, CutLeavesAreFreeEvenInsideAnotherLeafsCone) {
+  Network net("free_leaves");
+  const NodeId a = net.AddInput("a");
+  const NodeId b = net.AddInput("b");
+  const NodeId na = AddNot(net, a, "na");
+  const NodeId t0 = AddAnd(net, {a, na}, "t0");
+  const NodeId t1 = AddAnd(net, {b, na}, "t1");
+  const NodeId u0 = AddNot(net, t0, "u0");
+  const NodeId u1 = AddNot(net, t1, "u1");
+  const NodeId y = AddAnd(net, {u0, u1}, "y");
+  net.AddOutput("y", y);
+  ASSERT_TRUE(IsAndInvNetwork(net));
+  const Library lib = Lsi10kLike();
+  const std::string want =
+      ".model free_leaves\n"
+      ".inputs a b\n"
+      ".outputs y\n"
+      ".gate INV p0=a Y=na\n"
+      ".gate OAI21 p0=a p1=b p2=na Y=y\n"
+      ".end\n";
+  for (const auto mode :
+       {TechMapOptions::Mode::kArea, TechMapOptions::Mode::kDelay}) {
+    TechMapOptions options;
+    options.mode = mode;
+    EXPECT_EQ(WriteMappedBlifString(TechMap(net, lib, options).netlist), want);
+  }
+}
+
 std::uint64_t DigestSubject(const DecomposeResult& d) {
   Hasher h;
   h.AddBytes(WriteBlifString(d.network));
