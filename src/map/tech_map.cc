@@ -219,11 +219,8 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
   std::vector<Cut> mine;
   for (NodeId id = 0; id < n; ++id) {
     const SubjectNode& s = nodes[id];
-    Cut trivial;
-    trivial.size = 1;
-    trivial.leaf[0] = id;
+    pool.push_back(Cut{1, {id}});
     if (s.leaf_only) {
-      pool.push_back(trivial);
       first[id + 1] = pool.size();
       continue;
     }
@@ -249,19 +246,14 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
     // The direct-fanin cut is the feasibility anchor (it always matches an
     // AND2 or inverter); re-append it if pruning dropped it.
     {
-      Cut direct;
-      direct.size = 1;
-      direct.leaf[0] = f0;
+      Cut direct{1, {f0}};
       if (s.num_fanins == 2 && s.fanin[1] != f0) {
-        direct.size = 2;
-        direct.leaf[0] = std::min(f0, s.fanin[1]);
-        direct.leaf[1] = std::max(f0, s.fanin[1]);
+        direct = Cut{2, {std::min(f0, s.fanin[1]), std::max(f0, s.fanin[1])}};
       }
       if (std::find(mine.begin(), mine.end(), direct) == mine.end()) {
         mine.push_back(direct);
       }
     }
-    pool.push_back(trivial);
     pool.insert(pool.end(), mine.begin(), mine.end());
     first[id + 1] = pool.size();
 

@@ -45,7 +45,9 @@ class Builder {
 
   NodeId Not(NodeId a) {
     if (inv_[a] == kInvalidNode) {
-      inv_[a] = Add(Node{Kind::kInv, {a, kInvalidNode}}, arrival_[a] + 1.0);
+      const NodeId id =
+          Add(Node{Kind::kInv, {a, kInvalidNode}}, arrival_[a] + 1.0);
+      inv_[a] = id;
     }
     return inv_[a];
   }
