@@ -160,7 +160,7 @@ class CutEvaluator {
       }
       if (!ready) continue;
       stack_.pop_back();
-      // A one-fanin node is an inverter (buffers never survive decompose).
+      // A one-fanin node is an inverter: IsAndInvNetwork admits no buffers.
       value_[id] = s.num_fanins == 1
                        ? ~value_[s.fanin[0]] & mask
                        : value_[s.fanin[0]] & value_[s.fanin[1]];

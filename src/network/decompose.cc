@@ -123,10 +123,8 @@ bool IsAndInvNetwork(const Network& net) {
                          f.cubes()[0].pos() == 0b11;
     const bool is_inv = f.num_vars() == 1 && f.NumCubes() == 1 &&
                         f.cubes()[0].neg() == 0b1 && f.cubes()[0].pos() == 0;
-    const bool is_buf = f.num_vars() == 1 && f.NumCubes() == 1 &&
-                        f.cubes()[0].pos() == 0b1 && f.cubes()[0].neg() == 0;
     const bool is_const = f.num_vars() == 0;
-    if (!is_and2 && !is_inv && !is_buf && !is_const) return false;
+    if (!is_and2 && !is_inv && !is_const) return false;
   }
   return true;
 }

@@ -18,7 +18,8 @@ struct DecomposeResult {
   std::vector<NodeId> node_map;  // old node -> new node computing it
 };
 
-// True when every logic node of `net` is a 2-input AND or an inverter.
+// True when every logic node of `net` is a 2-input AND, an inverter or a
+// constant.
 bool IsAndInvNetwork(const Network& net);
 
 DecomposeResult DecomposeToAndInv(const Network& net);

@@ -311,6 +311,15 @@ TEST(TechMap, RejectsNonSubjectGraph) {
   net.AddOutput("y", x);
   EXPECT_THROW(TechMap(net, Lsi10kLike()), std::invalid_argument);
   EXPECT_NO_THROW(DecomposeAndMap(net, Lsi10kLike()));
+  // A buffer is not an inverter: a subject graph holding one is rejected
+  // rather than mapped as ~a & b.
+  Network buffered("buffered");
+  const NodeId p = buffered.AddInput("a");
+  const NodeId q = buffered.AddInput("b");
+  buffered.AddOutput("y", AddAnd(buffered, {AddBuf(buffered, p), q}));
+  EXPECT_THROW(TechMap(buffered, Lsi10kLike()), std::invalid_argument);
+  const Library lib = Lsi10kLike();
+  ExpectMappedEquivalent(buffered, DecomposeAndMap(buffered, lib).netlist);
 }
 
 // A cut's function treats every leaf as a free variable, even a leaf inside
