@@ -191,7 +191,8 @@ DecomposeResult DecomposeToAndInv(const Network& net) {
   DecomposeResult result{Network(net.name()),
                          std::vector<NodeId>(net.NumNodes(), kInvalidNode)};
   Network& out = result.network;
-  const Sop and2(2, {Cube::Literal(0, true).Intersect(Cube::Literal(1, true))});
+  const Sop and2(2,
+                 {Cube::Literal(0, true).Intersect(Cube::Literal(1, true))});
   const Sop inv(1, {Cube::Literal(0, false)});
   std::vector<NodeId> remap(arena.size(), kInvalidNode);
   for (NodeId id = 0; id < arena.size(); ++id) {
@@ -213,7 +214,7 @@ DecomposeResult DecomposeToAndInv(const Network& net) {
         remap[id] = out.AddNode({remap[node.fanin[0]], remap[node.fanin[1]]},
                                 and2, name);
         break;
-      default:
+      default:  // kInv
         remap[id] = out.AddNode({remap[node.fanin[0]]}, inv, name);
         break;
     }
