@@ -448,6 +448,30 @@ TEST_F(BatchConsumersTest, YieldMcImportanceSamplingMatchesScalarRecord) {
   }
 }
 
+// The spatially correlated model draws its shared components before the
+// per-gate Gaussians; this pins that sampling path, the 16-transition
+// classification stream and the lane packing (words and lanes) of a
+// 2-thread run.
+TEST_F(BatchConsumersTest, YieldMcSpatialModelMatchesRecord) {
+  const YieldRecord want = {
+      400, 178, 187, 181, 6, 140, 0, 47, 0,
+      0x1.1c28f5c28f5c2p-1, 0x1.f851eb851eb85p-1, 0x1.eb851eb851eb8p-7,
+      0x1.8ecd49d955534p-8, 0x1.9f6b2ced0e36cp-2, 0x1.9p+8,
+      0x1.1666666666666p+4, 0x1.3ccccccccccccp+4};
+  YieldMcOptions options;
+  options.trials = 400;
+  options.seed = 5150;
+  options.model.kind = VariationModelKind::kSpatiallyCorrelated;
+  options.model.sigma = 0.25;
+  options.model.correlation_fraction = 0.5;
+  options.classify_transitions = 16;
+  options.threads = 2;
+  const YieldMcResult got = EstimateTimingYield(*flow_, options);
+  ExpectYieldMatches(want, got);
+  EXPECT_EQ(got.words_simulated, 49u);
+  EXPECT_EQ(got.lanes_simulated, 2992u);
+}
+
 // Campaign fixtures: both fault kinds at 3x the guard window over the
 // exhaustive speed-path sites, and at 8x over random gates — the latter
 // escapes, so the escape records (shrunk and raw) are compared too.
