@@ -77,7 +77,7 @@ TrialSetup MakeTrialSetup(std::size_t num_inputs, const InjectOptions& options,
     s.previous[h] = !s.previous[h];
   } else {
     s.next.resize(num_inputs);
-    for (std::size_t i = 0; i < num_inputs; ++i) s.next[i] = rng.Chance(0.5);
+    for (std::size_t i = 0; i < num_inputs; ++i) s.next[i] = rng.Bit();
     // Even vector indices are targeted: flip only the head input of the
     // worst path through the site under an otherwise random pattern. Odd
     // indices are fully random pattern pairs (negative controls and glitch
@@ -89,7 +89,7 @@ TrialSetup MakeTrialSetup(std::size_t num_inputs, const InjectOptions& options,
     } else {
       s.previous.resize(num_inputs);
       for (std::size_t i = 0; i < num_inputs; ++i) {
-        s.previous[i] = rng.Chance(0.5);
+        s.previous[i] = rng.Bit();
       }
     }
   }
@@ -104,11 +104,13 @@ TrialSetup MakeTrialSetup(std::size_t num_inputs, const InjectOptions& options,
 // fanouts. Returns the edges in head-to-terminal order; `head` receives the
 // launching element (a PI, or kInvalidGate for a tie-cell head).
 std::vector<PathStep> WorstPathThrough(const MappedNetlist& prot,
+                                       const TimingView& view,
                                        const TimingInfo& timing,
                                        const std::vector<bool>& in_copy,
                                        const std::vector<double>& suffix,
                                        GateId site, GateId* head) {
-  std::vector<PathStep> prefix = ArrivalDefiningPath(prot, timing, site);
+  std::vector<PathStep> prefix =
+      ArrivalDefiningPath(view, timing.max_arrival, site);
   // The walk's last step is its head, which enters no pin.
   const GateId launch = prefix.back().gate;
   *head = prot.IsInput(launch) ? launch : kInvalidGate;
@@ -192,10 +194,11 @@ std::vector<SiteContext> BuildSiteContexts(
 
   std::vector<std::vector<PathStep>> paths(sites.size());
   std::vector<GateId> roots;
+  const TimingView view(prot);
   for (std::size_t i = 0; i < sites.size(); ++i) {
     GateId head = kInvalidGate;
-    paths[i] = WorstPathThrough(prot, prot_nominal, in_copy, suffix, sites[i],
-                                &head);
+    paths[i] = WorstPathThrough(prot, view, prot_nominal, in_copy, suffix,
+                                sites[i], &head);
     if (head != kInvalidGate) ctx[i].head_input = prot.InputIndex(head);
     if (!paths[i].empty()) roots.push_back(paths[i].back().gate);
   }

@@ -26,13 +26,15 @@ class Cell {
   const TruthTable& function() const { return function_; }
   double area() const { return area_; }
   double pin_delay(int pin) const;
+  const std::vector<double>& pin_delays() const { return pin_delays_; }
   double max_delay() const;
   double switch_energy() const { return switch_energy_; }
 
   // Prime-implicant covers of the on-set and off-set — the P set of Eqn. 1.
-  // Computed lazily on first use and cached.
-  const Sop& OnSetPrimes() const;
-  const Sop& OffSetPrimes() const;
+  // Computed at construction: a library's cells are read by every worker
+  // thread at once, so a cell holds no lazily filled state.
+  const Sop& OnSetPrimes() const { return on_primes_; }
+  const Sop& OffSetPrimes() const { return off_primes_; }
 
   bool IsConstant() const { return num_pins() == 0; }
   bool IsInverter() const;
@@ -44,9 +46,8 @@ class Cell {
   double area_;
   std::vector<double> pin_delays_;
   double switch_energy_;
-  mutable Sop on_primes_;
-  mutable Sop off_primes_;
-  mutable bool primes_ready_ = false;
+  Sop on_primes_;
+  Sop off_primes_;
 };
 
 }  // namespace sm

@@ -1,7 +1,6 @@
 #include "sta/paths.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/check.h"
 
@@ -58,35 +57,24 @@ TimingPath WorstPath(const MappedNetlist& net, const TimingInfo& timing) {
   }
   TimingPath path;
   path.delay = timing.max_arrival[at];
-  for (const PathStep& step : ArrivalDefiningPath(net, timing, at)) {
+  const TimingView view(net);
+  for (const PathStep& step :
+       ArrivalDefiningPath(view, timing.max_arrival, at)) {
     path.elements.push_back(step.gate);
   }
   std::reverse(path.elements.begin(), path.elements.end());
   return path;
 }
 
-std::vector<PathStep> ArrivalDefiningPath(const MappedNetlist& net,
-                                          const TimingInfo& timing,
-                                          GateId from,
-                                          const std::vector<double>* scale) {
+std::vector<PathStep> ArrivalDefiningPath(const TimingView& view,
+                                          const std::vector<double>& max_arrival,
+                                          GateId from, const double* scale) {
   std::vector<PathStep> steps;
   GateId at = from;
-  while (!net.IsInput(at) && !net.cell(at).IsConstant()) {
-    const Cell& cell = net.cell(at);
-    const auto& fin = net.fanins(at);
-    const double s = scale != nullptr ? (*scale)[at] : 1.0;
-    int best_pin = 0;
-    double best = -std::numeric_limits<double>::infinity();
-    for (int p = 0; p < cell.num_pins(); ++p) {
-      const double a = timing.max_arrival[fin[static_cast<std::size_t>(p)]] +
-                       cell.pin_delay(p) * s;
-      if (a > best) {
-        best = a;
-        best_pin = p;
-      }
-    }
-    steps.push_back(PathStep{at, best_pin});
-    at = fin[static_cast<std::size_t>(best_pin)];
+  while (!view.IsLeaf(at)) {
+    const int pin = view.DefiningPin(at, max_arrival, scale);
+    steps.push_back(PathStep{at, pin});
+    at = view.Fanin(at, pin);
   }
   steps.push_back(PathStep{at, -1});
   return steps;

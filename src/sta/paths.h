@@ -24,14 +24,14 @@ struct PathStep {
   int pin;
 };
 
-// Walks back from `from` along the arrival-defining pin of each gate (the
-// first maximum of fanin arrival + pin delay, so the lowest pin wins ties)
-// and returns the steps from `from` to the head. `scale`, when non-null,
-// multiplies every pin delay of gate g by (*scale)[g] — the delay plane
-// `timing` was analyzed under.
-std::vector<PathStep> ArrivalDefiningPath(
-    const MappedNetlist& net, const TimingInfo& timing, GateId from,
-    const std::vector<double>* scale = nullptr);
+// Walks back from `from` along the arrival-defining pin of each gate
+// (TimingView::DefiningPin) and returns the steps from `from` to the head.
+// `max_arrival` and `scale` are the arrivals and the delay plane the walk
+// reads (TimingView::MaxArrival, TimingInfo::max_arrival).
+std::vector<PathStep> ArrivalDefiningPath(const TimingView& view,
+                                          const std::vector<double>& max_arrival,
+                                          GateId from,
+                                          const double* scale = nullptr);
 
 // All paths with delay > threshold, capped at `limit` paths (DFS order,
 // deterministic). Use CountSpeedPaths when only the count matters.

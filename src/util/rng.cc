@@ -5,14 +5,6 @@
 #include "util/check.h"
 
 namespace sm {
-namespace {
-
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 std::uint64_t SplitMix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -36,18 +28,6 @@ Rng::Rng(std::uint64_t seed) {
   // All-zero state is the one forbidden state of xoshiro; splitmix cannot
   // produce four zero outputs from any seed, but keep the guard explicit.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::Below(std::uint64_t bound) {

@@ -26,6 +26,8 @@ class Rng {
   // thread count or evaluation order.
   static Rng ForStream(std::uint64_t seed, std::uint64_t stream);
 
+  // Defined inline below: the Monte-Carlo and injection pattern draws call
+  // it once per input bit.
   std::uint64_t Next();
 
   // Uniform in [0, bound); bound must be > 0. Uses rejection sampling so the
@@ -40,6 +42,10 @@ class Rng {
 
   // Bernoulli with probability p.
   bool Chance(double p);
+
+  // A fair coin: exactly Chance(0.5), draw for draw. Uniform() < 0.5 holds
+  // precisely when the top bit of Next() is clear.
+  bool Bit() { return (Next() >> 63) == 0; }
 
   // Standard normal N(0, 1) via Box–Muller (no cached spare, so the number
   // of uniforms consumed per call is fixed — required for counter-based
@@ -59,8 +65,24 @@ class Rng {
   std::vector<std::size_t> Sample(std::size_t n, std::size_t k);
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
+
+inline std::uint64_t Rng::Next() {
+  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = Rotl(s_[3], 45);
+  return result;
+}
 
 // Stable 64-bit hash of a string (FNV-1a), used to derive per-circuit seeds
 // from circuit names.

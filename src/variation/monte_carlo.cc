@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "sim/batch_sim.h"
-#include "sta/paths.h"
 #include "sta/sta.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -44,23 +43,33 @@ struct TrialOutcome {
   double log_weight = 0;
 };
 
-// A violating trial's deferred classification work: its pattern pairs,
-// kept with the trial's delay plane so a chunk's trials can be packed into
-// 64-lane batched runs. The per-transition counts come back lane by lane
-// and are folded in transition order.
+// A violating trial's deferred classification work: its delay plane, kept
+// so a chunk's trials can be packed into 64-lane batched runs, and the
+// per-transition counts that come back lane by lane, folded in transition
+// order. Its pattern pairs are drawn straight into the chunk's lane words.
 struct TrialPlan {
   std::size_t trial = 0;
   std::vector<double> scale;
-  std::vector<std::vector<bool>> prev;
-  std::vector<std::vector<bool>> next;
   std::vector<std::uint32_t> err_counts;
   std::vector<std::uint32_t> tap_counts;
 };
 
-bool AnyOutputLate(const MappedNetlist& net, const TimingInfo& timing,
-                   double deadline) {
+// One chunk's worker state, reused by each of its trials. Transition i of
+// the k-th violating trial is lane k · classify_transitions + i: bit
+// lane % 64 of words[lane / 64].
+struct ChunkState {
+  std::vector<double> orig_scale;
+  std::vector<double> orig_arrival;
+  std::vector<double> prot_arrival;
+  std::vector<std::size_t> late_outputs;
+  std::vector<TrialPlan> pending;
+  std::vector<LanePatterns> words;
+};
+
+bool AnyOutputLate(const MappedNetlist& net,
+                   const std::vector<double>& arrival, double deadline) {
   for (const auto& o : net.outputs()) {
-    if (timing.max_arrival[o.driver] > deadline + kEps) return true;
+    if (arrival[o.driver] > deadline + kEps) return true;
   }
   return false;
 }
@@ -86,9 +95,9 @@ bool AnyOutputLate(const MappedNetlist& net, const TimingInfo& timing,
 // sensitizable ones, so a reported escape may be a false path — the
 // classification errs on the pessimistic side, like STA itself.
 struct EscapeScanner {
-  const MappedNetlist& net;
-  const TimingInfo& scaled;    // trial STA of the same netlist
-  const TimingInfo& nominal;   // unscaled STA of the same netlist
+  const TimingView& view;
+  const std::vector<double>& scaled;  // trial max-arrivals of the netlist
+  const TimingInfo& nominal;          // unscaled STA of the same netlist
   const std::vector<double>& scale;
   double scaled_deadline = 0;
   double nominal_threshold = 0;  // Δ_y: nominally-longer d0 paths are covered
@@ -104,22 +113,19 @@ struct EscapeScanner {
       return false;
     }
     --budget;
-    if (scaled.max_arrival[id] + s_suffix <= scaled_deadline + kEps) {
+    if (scaled[id] + s_suffix <= scaled_deadline + kEps) {
       return false;  // nothing below is scaled-late
     }
     if (covered_mode &&
         nominal.min_arrival[id] + n_suffix > nominal_threshold + kEps) {
       return false;  // every path below is nominally long — covered
     }
-    if (net.IsInput(id) || net.cell(id).IsConstant()) {
+    if (view.IsLeaf(id)) {
       return !covered_mode || n_suffix <= nominal_threshold + kEps;
     }
-    const Cell& cell = net.cell(id);
-    const auto& fin = net.fanins(id);
-    for (int p = 0; p < cell.num_pins(); ++p) {
-      const double d = cell.pin_delay(p);
-      if (Visit(fin[static_cast<std::size_t>(p)], s_suffix + d * scale[id],
-                n_suffix + d)) {
+    for (int p = 0; p < view.NumPins(id); ++p) {
+      const double d = view.PinDelay(id, p);
+      if (Visit(view.Fanin(id, p), s_suffix + d * scale[id], n_suffix + d)) {
         return true;
       }
     }
@@ -194,12 +200,22 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
   (void)prot.Fanouts();
   (void)original.Fanouts();
 
+  // Trial STA runs on compiled views: one flat forward max-arrival pass per
+  // netlist into the chunk's buffers, nothing allocated per trial.
+  const TimingView orig_view(original);
+  const TimingView prot_view(prot);
+  const std::size_t num_inputs = prot.NumInputs();
+  const auto transitions =
+      static_cast<std::size_t>(std::max(options.classify_transitions, 0));
+  constexpr auto kWidth = static_cast<std::size_t>(kBatchLanes);
+
   std::vector<TrialOutcome> outcomes(options.trials);
-  // Samples, times and scans trial t. A violating trial leaves its
-  // classification pattern pairs and delay plane in `plan` for the batched
-  // runs; the pairs come from the trial's private classify stream, so how
-  // the trials are packed never shifts a draw.
-  const auto run_trial = [&](std::size_t t, TrialPlan& plan) {
+  // Samples, times and scans trial t. A violating trial leaves its delay
+  // plane in a plan and its classification pattern pairs in the chunk's
+  // lane words for the batched runs; the pairs come from the trial's
+  // private classify stream, so how the trials are packed never shifts a
+  // draw.
+  const auto run_trial = [&](std::size_t t, ChunkState& cs) {
     // Cancellation: skip instead of throwing across the pool; the post-pool
     // Check() raises the typed error once every worker has drained.
     if (options.cancel != nullptr && options.cancel->Status() != ErrorCode::kOk) {
@@ -210,18 +226,18 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     ShiftedSample sample = sampler.SampleShifted(options.seed, t, shift);
     out.log_weight = sample.log_weight;
 
-    std::vector<double> orig_scale(original.NumElements(), 1.0);
+    cs.orig_scale.resize(original.NumElements());
     for (GateId id = 0; id < original.NumElements(); ++id) {
-      if (orig_in_prot[id] != kInvalidGate) {
-        orig_scale[id] = sample.scale[orig_in_prot[id]];
-      }
+      cs.orig_scale[id] = orig_in_prot[id] != kInvalidGate
+                              ? sample.scale[orig_in_prot[id]]
+                              : 1.0;
     }
 
-    const TimingInfo t_orig = AnalyzeTiming(original, clock, &orig_scale);
-    out.violates_original = AnyOutputLate(original, t_orig, clock);
+    orig_view.MaxArrival(cs.orig_scale.data(), cs.orig_arrival);
+    out.violates_original = AnyOutputLate(original, cs.orig_arrival, clock);
 
-    const TimingInfo t_prot = AnalyzeTiming(prot, prot_clock, &sample.scale);
-    out.violates_protected = AnyOutputLate(prot, t_prot, prot_clock);
+    prot_view.MaxArrival(sample.scale.data(), cs.prot_arrival);
+    out.violates_protected = AnyOutputLate(prot, cs.prot_arrival, prot_clock);
     if (!out.violates_protected) return;  // STA bounds the simulator: safe
 
     // Structural escape scan over every late output. Late unprotected
@@ -229,75 +245,75 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     // must be clean and d0 may only be late along nominally-long (covered)
     // paths. The d0 branch compares nominal delays without the mux pin —
     // Δ_y is measured at the original circuit's outputs.
-    std::vector<std::size_t> late_outputs;
-    EscapeScanner scanner{prot, t_prot, prot_nominal, sample.scale};
+    std::vector<std::size_t>& late_outputs = cs.late_outputs;
+    late_outputs.clear();
+    EscapeScanner scanner{prot_view, cs.prot_arrival, prot_nominal,
+                          sample.scale};
     scanner.scaled_deadline = prot_clock;
     scanner.nominal_threshold = coverage_target;
     scanner.budget = kScanBudget;
     for (std::size_t oi = 0; oi < prot.NumOutputs(); ++oi) {
       const GateId driver = prot.output(oi).driver;
-      if (t_prot.max_arrival[driver] <= prot_clock + kEps) continue;
+      if (cs.prot_arrival[driver] <= prot_clock + kEps) continue;
       late_outputs.push_back(oi);
       if (out.residual) continue;  // already classified; keep listing
-      const ProtectedCircuit::Tap* tap = tap_of[driver];
-      if (tap == nullptr) {
+      if (tap_of[driver] == nullptr) {
         out.residual = true;  // no mux guards this output
         continue;
       }
-      const Cell& mux = prot.cell(driver);
-      const auto& fin = prot.fanins(driver);
-      for (int p = 0; p < mux.num_pins() && !out.residual; ++p) {
-        const double d = mux.pin_delay(p);
+      for (int p = 0; p < prot_view.NumPins(driver) && !out.residual; ++p) {
+        const double d = prot_view.PinDelay(driver, p);
         scanner.covered_mode = p == 1;  // pins are (select e, d0 y, d1 ỹ)
-        out.residual =
-            scanner.Visit(fin[static_cast<std::size_t>(p)],
-                          d * sample.scale[driver],
-                          scanner.covered_mode ? 0.0 : d);
+        out.residual = scanner.Visit(prot_view.Fanin(driver, p),
+                                     d * sample.scale[driver],
+                                     scanner.covered_mode ? 0.0 : d);
       }
     }
     out.scan_truncated = scanner.truncated;
-    if (options.classify_transitions <= 0) return;
+    if (transitions == 0) return;
 
     // Excite the violation under the trial delays. Transitions alternate
     // between targeted single-input toggles down the arrival-defining paths
     // of the late outputs (these sensitize the blamed speed-path with high
     // probability) and fully random pattern pairs (these catch escapes STA
-    // blamed on one output but that surface on another).
+    // blamed on one output but that surface on another). Each pattern bit
+    // is drawn straight into its lane of the chunk's words.
+    const std::size_t first_lane = cs.pending.size() * transitions;
+    while (cs.words.size() * kWidth < first_lane + transitions) {
+      cs.words.emplace_back(num_inputs);
+    }
     Rng rng = Rng::ForStream(options.seed, t + kClassifyStreamOffset);
-    for (int i = 0; i < options.classify_transitions; ++i) {
-      std::vector<bool> next(prot.NumInputs());
-      for (std::size_t v = 0; v < next.size(); ++v) next[v] = rng.Chance(0.5);
-      std::vector<bool> prev;
-      const bool targeted = i % 2 == 0 && !late_outputs.empty();
-      if (targeted) {
-        const std::size_t oi =
-            late_outputs[static_cast<std::size_t>(i / 2) %
-                         late_outputs.size()];
+    for (std::size_t i = 0; i < transitions; ++i) {
+      const std::size_t lane = first_lane + i;
+      LanePatterns& word = cs.words[lane / kWidth];
+      const std::size_t shift = lane % kWidth;
+      const std::uint64_t bit = std::uint64_t{1} << shift;
+      for (std::size_t v = 0; v < num_inputs; ++v) {
+        word.next[v] |= std::uint64_t{rng.Bit()} << shift;
+      }
+      if (i % 2 == 0 && !late_outputs.empty()) {
+        const std::size_t oi = late_outputs[(i / 2) % late_outputs.size()];
         // Toggling the input at the head of the arrival-defining path
         // launches a transition down the exact path STA blamed — random
         // transitions almost never sensitize a specific speed-path.
-        const GateId head = ArrivalDefiningPath(prot, t_prot,
-                                                prot.output(oi).driver,
-                                                &sample.scale)
-                                .back()
-                                .gate;
-        const int pi = prot.IsInput(head) ? prot.InputIndex(head) : -1;
-        prev = next;
-        if (pi >= 0) {
-          prev[static_cast<std::size_t>(pi)] =
-              !prev[static_cast<std::size_t>(pi)];
+        const GateId head = prot_view.PathHead(
+            prot.output(oi).driver, cs.prot_arrival, sample.scale.data());
+        for (std::size_t v = 0; v < num_inputs; ++v) {
+          word.previous[v] |= word.next[v] & bit;
         }
+        const int pi = prot.IsInput(head) ? prot.InputIndex(head) : -1;
+        if (pi >= 0) word.previous[static_cast<std::size_t>(pi)] ^= bit;
       } else {
-        prev.resize(prot.NumInputs());
-        for (std::size_t v = 0; v < prev.size(); ++v) {
-          prev[v] = rng.Chance(0.5);
+        for (std::size_t v = 0; v < num_inputs; ++v) {
+          word.previous[v] |= std::uint64_t{rng.Bit()} << shift;
         }
       }
-      plan.prev.push_back(std::move(prev));
-      plan.next.push_back(std::move(next));
     }
+    TrialPlan& plan = cs.pending.emplace_back();
     plan.trial = t;
     plan.scale = std::move(sample.scale);
+    plan.err_counts.assign(transitions, 0);
+    plan.tap_counts.assign(transitions, 0);
   };
 
   // Counts one lane of a batched run: outputs latching a timing error, and
@@ -319,62 +335,43 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
 
   BatchTelemetry telemetry;
   const auto run_chunk = [&](std::size_t lo, std::size_t hi) {
-    // Phase A: STA + escape scan per trial; violating trials leave their
-    // classification patterns and delay plane in a plan.
-    std::vector<TrialPlan> pending;
-    for (std::size_t t = lo; t < hi; ++t) {
-      TrialPlan plan;
-      run_trial(t, plan);
-      if (!plan.prev.empty()) pending.push_back(std::move(plan));
-    }
-    if (pending.empty()) return;
+    // Phase A: STA + escape scan per trial; violating trials leave a plan
+    // and their classification patterns in the lane words.
+    ChunkState cs;
+    for (std::size_t t = lo; t < hi; ++t) run_trial(t, cs);
+    if (cs.pending.empty()) return;
 
-    // Phase B: flatten every (trial, transition) into lanes and run the
-    // batched engine 64 lanes at a time. Lanes of one trial share its delay
-    // plane by pointer.
-    struct LaneRef {
-      std::size_t plan_index;
-      std::size_t transition;
-    };
-    std::vector<LaneRef> lanes;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      pending[i].err_counts.assign(pending[i].prev.size(), 0);
-      pending[i].tap_counts.assign(pending[i].prev.size(), 0);
-      for (std::size_t j = 0; j < pending[i].prev.size(); ++j) {
-        lanes.push_back(LaneRef{i, j});
-      }
-    }
+    // Phase B: run the batched engine on each lane word. Lanes of one
+    // trial share its delay plane by pointer.
+    const std::size_t lanes = cs.pending.size() * transitions;
     BatchEventSim engine(prot);
-    LanePatterns patterns(prot.NumInputs());
-    constexpr auto kWidth = static_cast<std::size_t>(kBatchLanes);
-    for (std::size_t base = 0; base < lanes.size(); base += kWidth) {
-      const int count =
-          static_cast<int>(std::min(lanes.size() - base, kWidth));
+    for (std::size_t base = 0; base < lanes; base += kWidth) {
+      const int count = static_cast<int>(std::min(lanes - base, kWidth));
       BatchEventSimConfig cfg;
       cfg.clock = prot_clock;
       cfg.lanes = count;
-      patterns.Clear();
       for (int l = 0; l < count; ++l) {
-        const LaneRef& ref = lanes[base + static_cast<std::size_t>(l)];
-        const TrialPlan& plan = pending[ref.plan_index];
-        cfg.delay_scale[static_cast<std::size_t>(l)] = plan.scale.data();
-        patterns.Pack(l, plan.prev[ref.transition], plan.next[ref.transition]);
+        const std::size_t lane = base + static_cast<std::size_t>(l);
+        cfg.delay_scale[static_cast<std::size_t>(l)] =
+            cs.pending[lane / transitions].scale.data();
       }
+      const LanePatterns& word = cs.words[base / kWidth];
       const BatchEventSimResult& sim =
-          engine.Run(patterns.previous, patterns.next, cfg);
+          engine.Run(word.previous, word.next, cfg);
       ++telemetry.words;
       for (int l = 0; l < count; ++l) {
-        const LaneRef& ref = lanes[base + static_cast<std::size_t>(l)];
-        count_lane(sim, l, pending[ref.plan_index], ref.transition);
+        const std::size_t lane = base + static_cast<std::size_t>(l);
+        count_lane(sim, l, cs.pending[lane / transitions],
+                   lane % transitions);
       }
     }
-    telemetry.lanes += lanes.size();
+    telemetry.lanes += lanes;
 
     // Phase C: fold the per-transition counts in transition order, up to
     // and including the first transition that lets an error escape. A trial
     // the scan already found residual therefore counts its first transition
     // only.
-    for (TrialPlan& plan : pending) {
+    for (TrialPlan& plan : cs.pending) {
       TrialOutcome& out = outcomes[plan.trial];
       for (std::size_t j = 0; j < plan.err_counts.size(); ++j) {
         if (plan.err_counts[j] > 0) {

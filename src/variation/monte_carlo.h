@@ -1,8 +1,10 @@
 // Parallel Monte-Carlo timing-yield and residual-error-rate estimation.
 //
-// Each trial draws a per-gate delay_scale vector (variation.h), re-runs STA
-// on the original circuit C and on the protected circuit C ∪ C̃ ∪ muxes,
-// and classifies the outcome:
+// Each trial draws a per-gate delay_scale vector (variation.h), recomputes
+// the max arrivals of the original circuit C and of the protected circuit
+// C ∪ C̃ ∪ muxes — one forward pass over each netlist's compiled TimingView
+// (sta.h) into buffers its chunk of trials reuses — and classifies the
+// outcome:
 //
 //   * C fails the trial when any output's arrival exceeds the clock T.
 //   * The protected circuit is judged at T + mux compensation (the same
@@ -22,7 +24,8 @@
 //         ones, so this is pessimistic in exactly the way STA is.
 //     Violating trials are additionally *excited* with a short stream of
 //     pattern transitions (targeted toggles down the blamed paths plus
-//     random pairs) through the event simulator under the trial's delays;
+//     random pairs), drawn bit by bit straight into the 64-lane words of
+//     the batched event simulator and run under the trial's delays;
 //     errors at the copied original outputs with the indicator e_i raised
 //     count the paper's e·(y ⊕ ỹ) masked events, and any simulated error
 //     surviving at a protected output marks the trial residual as well.

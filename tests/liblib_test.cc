@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "liblib/library.h"
 #include "liblib/lsi10k.h"
 #include "util/check.h"
@@ -39,6 +42,29 @@ TEST(Cell, PrimeCovers) {
   EXPECT_EQ(aoi->OnSetPrimes().NumCubes(), 2u);
   EXPECT_EQ(aoi->OnSetPrimes().ToTruthTable(), aoi->function());
   EXPECT_EQ(aoi->OffSetPrimes().ToTruthTable(), ~aoi->function());
+}
+
+// Every worker of a parallel flow (the table benches, the daemon) reads the
+// same library's prime covers. Reading them must not write to the cell:
+// ThreadSanitizer (CI) reports a race on the first concurrent read of a
+// lazily filled cover, and every thread must see complete covers.
+TEST(Cell, PrimeCoversAreSafeToReadConcurrently) {
+  const Library lib = Lsi10kLike();
+  const std::vector<const Cell*> cells = lib.AllCells();
+  std::vector<int> complete(4, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < complete.size(); ++t) {
+    readers.emplace_back([&cells, &complete, t] {
+      bool ok = true;
+      for (const Cell* cell : cells) {
+        ok = ok && cell->OnSetPrimes().ToTruthTable() == cell->function() &&
+             cell->OffSetPrimes().ToTruthTable() == ~cell->function();
+      }
+      complete[t] = ok ? 1 : 0;
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(complete, std::vector<int>(complete.size(), 1));
 }
 
 TEST(Library, Lsi10kLikeSanity) {

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
+#include "harness/flow.h"
 #include "liblib/lsi10k.h"
 #include "sta/paths.h"
 #include "sta/sta.h"
+#include "suite/circuit_gen.h"
+#include "suite/paper_suite.h"
+#include "variation/variation.h"
 
 namespace sm {
 namespace {
@@ -113,6 +120,149 @@ TEST(SpeedPaths, SharedDriverCountsOncePerOutput) {
   // reported once per output.
   EXPECT_EQ(CountSpeedPaths(net, timing, 0.5), 2u);
   EXPECT_EQ(EnumerateSpeedPaths(net, timing, 0.5).size(), 2u);
+}
+
+// Reference STA straight off the netlist's cells: the max-arrival
+// recurrence and the arrival-defining walk as written before the compiled
+// view existed — max from -inf over pins in order, pin delay times scale,
+// the first maximum wins.
+std::vector<double> ReferenceMaxArrival(const MappedNetlist& net,
+                                        const std::vector<double>& scale) {
+  std::vector<double> arrival(net.NumElements(), 0.0);
+  for (GateId id = 0; id < net.NumElements(); ++id) {
+    if (net.IsInput(id) || net.cell(id).IsConstant()) continue;
+    const Cell& cell = net.cell(id);
+    double a = -std::numeric_limits<double>::infinity();
+    for (int p = 0; p < cell.num_pins(); ++p) {
+      a = std::max(a, arrival[net.fanins(id)[static_cast<std::size_t>(p)]] +
+                          cell.pin_delay(p) * scale[id]);
+    }
+    arrival[id] = a;
+  }
+  return arrival;
+}
+
+GateId ReferencePathHead(const MappedNetlist& net,
+                         const std::vector<double>& arrival,
+                         const std::vector<double>& scale, GateId from) {
+  GateId at = from;
+  while (!net.IsInput(at) && !net.cell(at).IsConstant()) {
+    const Cell& cell = net.cell(at);
+    int best_pin = 0;
+    double best = -std::numeric_limits<double>::infinity();
+    for (int p = 0; p < cell.num_pins(); ++p) {
+      const double a = arrival[net.fanins(at)[static_cast<std::size_t>(p)]] +
+                       cell.pin_delay(p) * scale[at];
+      if (a > best) {
+        best = a;
+        best_pin = p;
+      }
+    }
+    at = net.fanins(at)[static_cast<std::size_t>(best_pin)];
+  }
+  return at;
+}
+
+// The compiled view, AnalyzeTiming and ArrivalDefiningPath against the
+// reference, bit for bit, on every Table-1 protected netlist under 64
+// sampled delay planes — half of them importance-sampling shifted.
+TEST(TimingView, MatchesReferenceOnTable1ProtectedNetlists) {
+  const Library lib = Lsi10kLike();
+  for (const PaperCircuitInfo& info : Table1Circuits()) {
+    SCOPED_TRACE(info.spec.name);
+    const FlowResult flow = RunMaskingFlow(GenerateCircuit(info.spec), lib);
+    const MappedNetlist& net = flow.protected_circuit.netlist;
+    const TimingView view(net);
+    ASSERT_EQ(view.NumElements(), net.NumElements());
+    const DelayScaleSampler sampler(net, VariationModel{});
+    std::vector<double> shift(net.NumElements(), 0.0);
+    for (GateId id = 0; id < net.NumElements(); ++id) {
+      if (!net.IsInput(id) && id % 3 == 0) shift[id] = 0.4;
+    }
+    std::vector<double> arrival;
+    for (std::uint64_t k = 0; k < 64; ++k) {
+      const std::vector<double> scale =
+          k % 2 == 0 ? sampler.Sample(2009, k)
+                     : sampler.SampleShifted(2009, k, shift).scale;
+      const std::vector<double> want = ReferenceMaxArrival(net, scale);
+      view.MaxArrival(scale.data(), arrival);
+      const TimingInfo timing = AnalyzeTiming(net, -1, &scale);
+      for (GateId id = 0; id < net.NumElements(); ++id) {
+        ASSERT_EQ(arrival[id], want[id]) << "plane " << k << " element " << id;
+        ASSERT_EQ(timing.max_arrival[id], want[id])
+            << "plane " << k << " element " << id;
+      }
+      for (const auto& o : net.outputs()) {
+        const GateId head = ReferencePathHead(net, want, scale, o.driver);
+        EXPECT_EQ(view.PathHead(o.driver, arrival, scale.data()), head)
+            << "plane " << k << " output " << o.name;
+        EXPECT_EQ(ArrivalDefiningPath(view, timing.max_arrival, o.driver,
+                                      scale.data())
+                      .back()
+                      .gate,
+                  head)
+            << "plane " << k << " output " << o.name;
+      }
+    }
+  }
+}
+
+// A tie cell, a gate fed twice by one net and exact arrival ties, on which
+// the lowest pin must define the arrival:
+//   g1 = AND2(t, a), g2 = AND2(b, b), g3 = OR2(g1, g2), i1 = INV(a),
+//   g4 = AND2(i1, g2); outputs g3, g4 and the tie cell t itself.
+TEST(TimingView, TieCellsDuplicateFaninsAndExactTies) {
+  const Library lib = UnitLibrary();
+  MappedNetlist net("ties");
+  const GateId a = net.AddInput("a");
+  const GateId b = net.AddInput("b");
+  const GateId t = net.AddGate(lib.ByNameOrThrow("TIE1"), {}, "t");
+  const Cell* and2 = lib.ByNameOrThrow("AND2");
+  const GateId g1 = net.AddGate(and2, {t, a}, "g1");
+  const GateId g2 = net.AddGate(and2, {b, b}, "g2");
+  const GateId g3 = net.AddGate(lib.ByNameOrThrow("OR2"), {g1, g2}, "g3");
+  const GateId i1 = net.AddGate(lib.ByNameOrThrow("INV"), {a}, "i1");
+  const GateId g4 = net.AddGate(and2, {i1, g2}, "g4");
+  net.AddOutput("y3", g3);
+  net.AddOutput("y4", g4);
+  net.AddOutput("yt", t);
+  net.CheckInvariants();
+
+  const TimingView view(net);
+  EXPECT_TRUE(view.IsLeaf(a));
+  EXPECT_TRUE(view.IsLeaf(t));
+  EXPECT_EQ(view.NumPins(g2), 2);
+  EXPECT_EQ(view.Fanin(g2, 1), b);
+
+  // Nominal: g1 and g2 both settle at 2, so g3's pins tie and pin 0 (g1)
+  // wins; inside g1 the tie cell and a tie again, so the walk ends at t.
+  std::vector<double> arrival;
+  view.MaxArrival(nullptr, arrival);
+  EXPECT_EQ(arrival, (std::vector<double>{0, 0, 0, 2, 2, 4, 1, 4}));
+  EXPECT_EQ(view.DefiningPin(g3, arrival, nullptr), 0);
+  EXPECT_EQ(view.PathHead(g3, arrival, nullptr), t);
+  EXPECT_EQ(view.PathHead(g4, arrival, nullptr), b);
+  EXPECT_EQ(view.PathHead(t, arrival, nullptr), t);
+  const std::vector<PathStep> path =
+      ArrivalDefiningPath(view, arrival, g3, nullptr);
+  ASSERT_EQ(path.size(), 3u);
+  EXPECT_EQ(path[0].gate, g3);
+  EXPECT_EQ(path[0].pin, 0);
+  EXPECT_EQ(path[1].gate, g1);
+  EXPECT_EQ(path[1].pin, 0);
+  EXPECT_EQ(path[2].gate, t);
+  EXPECT_EQ(path[2].pin, -1);
+
+  // Halving g2 makes it settle at 1, so g4's pins tie at 3 and i1 (pin 0)
+  // defines g4; g3 still follows g1 to the tie cell.
+  std::vector<double> scale(net.NumElements(), 1.0);
+  scale[g2] = 0.5;
+  view.MaxArrival(scale.data(), arrival);
+  EXPECT_EQ(arrival, (std::vector<double>{0, 0, 0, 2, 1, 4, 1, 3}));
+  EXPECT_EQ(view.PathHead(g4, arrival, scale.data()), a);
+  EXPECT_EQ(view.PathHead(g3, arrival, scale.data()), t);
+  EXPECT_EQ(AnalyzeTiming(net, -1, &scale).max_arrival, arrival);
+  EXPECT_EQ(ReferenceMaxArrival(net, scale), arrival);
 }
 
 }  // namespace

@@ -63,6 +63,17 @@ TEST(Rng, BelowIsRoughlyUniform) {
   }
 }
 
+// Bit() is the inline fair coin of the pattern draws; it must equal
+// Chance(0.5) draw for draw and consume exactly one Next() each.
+TEST(Rng, BitMatchesChanceHalfAndKeepsTheStream) {
+  Rng bits(424242);
+  Rng chances(424242);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_EQ(bits.Bit(), chances.Chance(0.5)) << "draw " << i;
+  }
+  EXPECT_EQ(bits.Next(), chances.Next());
+}
+
 TEST(Rng, RangeInclusive) {
   Rng r(3);
   bool saw_lo = false;
