@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "liblib/lsi10k.h"
 #include "map/mapped_bdd.h"
 #include "map/netlist_io.h"
@@ -7,6 +11,7 @@
 #include "suite/paper_suite.h"
 #include "suite/structured.h"
 #include "util/check.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -24,6 +29,22 @@ void ExpectNetlistsEquivalent(const MappedNetlist& a, const MappedNetlist& b) {
   for (std::size_t i = 0; i < a.NumOutputs(); ++i) {
     EXPECT_EQ(ga[a.output(i).driver], gb[b.output(i).driver]) << i;
   }
+}
+
+// The `assign Y = ...` body of `cell`'s primitive module, as WriteVerilog
+// emits it for a one-gate netlist.
+std::string PrimitiveBody(const Cell& cell) {
+  MappedNetlist net("one_gate");
+  std::vector<GateId> pins;
+  for (int p = 0; p < cell.num_pins(); ++p) {
+    pins.push_back(net.AddInput(IndexedName("x", p)));
+  }
+  net.AddOutput("y", net.AddGate(&cell, pins));
+  const std::string v = WriteVerilogString(net);
+  const std::size_t module = v.find("module " + cell.name() + "(");
+  const std::string assign = "assign Y = ";
+  const std::size_t body = v.find(assign, module) + assign.size();
+  return v.substr(body, v.find(';', body) - body);
 }
 
 TEST(MappedBlif, RoundTripComparator) {
@@ -100,6 +121,46 @@ TEST(Verilog, EmitsStructuralNetlist) {
   // No primitives mode drops the cell modules.
   const std::string bare = WriteVerilogString(net, false);
   EXPECT_EQ(bare.find("module INV"), std::string::npos);
+}
+
+TEST(Verilog, PrimitiveBodiesMatchRecord) {
+  // Recorded from the writer; both libraries share these functions.
+  const std::map<std::string, std::string> kBodies = {
+      {"INV", "(~p0)"},
+      {"BUF", "(p0)"},
+      {"NAND2", "(~p1) | (~p0)"},
+      {"NAND3", "(~p2) | (~p1) | (~p0)"},
+      {"NAND4", "(~p3) | (~p2) | (~p1) | (~p0)"},
+      {"NOR2", "(~p0 & ~p1)"},
+      {"NOR3", "(~p0 & ~p1 & ~p2)"},
+      {"NOR4", "(~p0 & ~p1 & ~p2 & ~p3)"},
+      {"AND2", "(p0 & p1)"},
+      {"AND3", "(p0 & p1 & p2)"},
+      {"AND4", "(p0 & p1 & p2 & p3)"},
+      {"OR2", "(p1) | (p0)"},
+      {"OR3", "(p2) | (p1) | (p0)"},
+      {"OR4", "(p3) | (p2) | (p1) | (p0)"},
+      {"XOR2", "(p0 & ~p1) | (~p0 & p1)"},
+      {"XNOR2", "(~p0 & ~p1) | (p0 & p1)"},
+      {"AOI21", "(~p1 & ~p2) | (~p0 & ~p2)"},
+      {"AOI22", "(~p1 & ~p3) | (~p0 & ~p3) | (~p1 & ~p2) | (~p0 & ~p2)"},
+      {"OAI21", "(~p2) | (~p0 & ~p1)"},
+      {"OAI22", "(~p2 & ~p3) | (~p0 & ~p1)"},
+      {"MUX2", "(p0 & p2) | (~p0 & p1)"},
+      {"MAJ3", "(p1 & p2) | (p0 & p2) | (p0 & p1)"},
+      {"TIE0", "1'b0"},
+      {"TIE1", "1'b1"},
+  };
+  const Library libs[] = {Lsi10kLike(), UnitLibrary()};
+  for (const Library& lib : libs) {
+    ASSERT_EQ(lib.NumCells(), kBodies.size()) << lib.name();
+    for (const Cell* cell : lib.AllCells()) {
+      const auto it = kBodies.find(cell->name());
+      ASSERT_NE(it, kBodies.end()) << cell->name();
+      EXPECT_EQ(PrimitiveBody(*cell), it->second)
+          << lib.name() << " " << cell->name();
+    }
+  }
 }
 
 TEST(Verilog, SanitizesAwkwardNames) {
