@@ -1,6 +1,6 @@
 // Dynamically sized truth table over up to kMaxTruthVars variables.
 //
-// Node-local Boolean reasoning in speedmask (ISOP, two-level minimization,
+// Node-local Boolean reasoning in speedmask (ISOP, prime enumeration,
 // care-set induction) is exact and truth-table based: nodes are bounded to
 // 10-15 fanins by construction, where a truth table of 2^n bits is both the
 // fastest and the simplest exact representation.
@@ -35,6 +35,10 @@ class TruthTable {
 
   bool Get(std::uint64_t minterm) const;
   void Set(std::uint64_t minterm, bool value);
+
+  // The raw table: bit m % 64 of word m / 64 is the value at minterm m, and
+  // bits past the minterm space are zero.
+  const std::vector<std::uint64_t>& words() const { return words_; }
 
   bool IsConst0() const;
   bool IsConst1() const;

@@ -1,6 +1,7 @@
 #include "liblib/cell.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "boolean/isop.h"
 #include "util/check.h"
@@ -17,10 +18,16 @@ Cell::Cell(std::string name, TruthTable function, double area,
   SM_REQUIRE(!name_.empty(), "cells must be named");
   SM_REQUIRE(static_cast<int>(pin_delays_.size()) == function_.num_vars(),
              "cell " << name_ << ": one delay per pin required");
-  SM_REQUIRE(area_ >= 0 && switch_energy_ >= 0,
-             "cell " << name_ << ": area/energy must be non-negative");
+  SM_REQUIRE(function_.num_vars() <= kMaxCellPins,
+             "cell " << name_ << " has " << function_.num_vars()
+                     << " pins, above the ceiling of " << kMaxCellPins);
+  SM_REQUIRE(std::isfinite(area_) && std::isfinite(switch_energy_) &&
+                 area_ >= 0 && switch_energy_ >= 0,
+             "cell " << name_
+                     << ": area/energy must be finite and non-negative");
   for (double d : pin_delays_) {
-    SM_REQUIRE(d > 0, "cell " << name_ << ": pin delays must be positive");
+    SM_REQUIRE(std::isfinite(d) && d > 0,
+               "cell " << name_ << ": pin delays must be finite and positive");
   }
   if (function_.num_vars() > 0) {
     SM_REQUIRE(!function_.IsConst0() && !function_.IsConst1(),
@@ -33,6 +40,7 @@ Cell::Cell(std::string name, TruthTable function, double area,
   }
   on_primes_ = AllPrimes(function_);
   off_primes_ = AllPrimes(~function_);
+  cover_ = Isop(function_, TruthTable::Const0(function_.num_vars()));
 }
 
 double Cell::pin_delay(int pin) const {

@@ -16,6 +16,10 @@
 
 namespace sm {
 
+// Widest cell a library may hold. AllPrimes enumerates 3^pins cubes, and the
+// batched simulator keeps per-pin cursors in arrays of this size.
+inline constexpr int kMaxCellPins = 10;
+
 class Cell {
  public:
   Cell(std::string name, TruthTable function, double area,
@@ -35,6 +39,10 @@ class Cell {
   // thread at once, so a cell holds no lazily filled state.
   const Sop& OnSetPrimes() const { return on_primes_; }
   const Sop& OffSetPrimes() const { return off_primes_; }
+  // Irredundant on-set cover (ISOP), computed at construction like the
+  // primes: the cubes that word-level simulation and the Verilog writer
+  // evaluate. Empty for TIE0, one universe cube for TIE1.
+  const Sop& Cover() const { return cover_; }
 
   bool IsConstant() const { return num_pins() == 0; }
   bool IsInverter() const;
@@ -48,6 +56,7 @@ class Cell {
   double switch_energy_;
   Sop on_primes_;
   Sop off_primes_;
+  Sop cover_;
 };
 
 }  // namespace sm

@@ -118,7 +118,7 @@ Library ParseLibrary(const std::string& name, const std::string& text) {
           throw ParseError("library line " + std::to_string(line_no) +
                            ": unknown attribute " + kv[0]);
         }
-      } catch (const std::invalid_argument&) {
+      } catch (const std::logic_error&) {  // std::stod: invalid or out of range
         throw ParseError("library line " + std::to_string(line_no) +
                          ": bad number in " + tokens[i]);
       }
@@ -126,6 +126,12 @@ Library ParseLibrary(const std::string& name, const std::string& text) {
     if (area < 0 || energy < 0 || func_bits.empty()) {
       throw ParseError("library line " + std::to_string(line_no) +
                        ": area/energy/func are required");
+    }
+    if (delays.size() > static_cast<std::size_t>(kMaxCellPins)) {
+      throw ParseError("library line " + std::to_string(line_no) + ": " +
+                       std::to_string(delays.size()) +
+                       " pins, above the ceiling of " +
+                       std::to_string(kMaxCellPins));
     }
     int pins = static_cast<int>(delays.size());
     TruthTable tt(0);

@@ -1,5 +1,7 @@
 #include "map/mapped_netlist.h"
 
+#include <bit>
+
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -103,35 +105,39 @@ std::size_t MappedNetlist::NumLogicGates() const {
 
 std::vector<std::uint64_t> MappedNetlist::EvalParallel(
     const std::vector<std::uint64_t>& input_words) const {
+  std::vector<std::uint64_t> values;
+  EvalParallel(input_words, values);
+  return values;
+}
+
+void MappedNetlist::EvalParallel(const std::vector<std::uint64_t>& input_words,
+                                 std::vector<std::uint64_t>& values) const {
   SM_REQUIRE(input_words.size() == num_inputs_,
              "EvalParallel needs one word per primary input");
-  std::vector<std::uint64_t> value(elements_.size(), 0);
+  values.resize(elements_.size());
   std::size_t next_input = 0;
   for (GateId id = 0; id < elements_.size(); ++id) {
     const Element& e = elements_[id];
     if (e.cell == nullptr) {
-      value[id] = input_words[next_input++];
+      values[id] = input_words[next_input++];
       continue;
     }
-    if (e.cell->IsConstant()) {
-      value[id] = e.cell->function().Get(0) ? ~0ull : 0ull;
-      continue;
-    }
-    // Evaluate the cell truth table bit-parallel over its pins.
-    const TruthTable& f = e.cell->function();
+    // Tie cells need no case of their own: TIE1's cover is the universe
+    // cube and TIE0's is empty.
+    const GateId* fanins = e.fanins.data();
     std::uint64_t out = 0;
-    for (std::uint64_t m = 0; m < f.num_minterms_space(); ++m) {
-      if (!f.Get(m)) continue;
+    for (const Cube& c : e.cell->Cover().cubes()) {
       std::uint64_t term = ~0ull;
-      for (int p = 0; p < f.num_vars() && term != 0; ++p) {
-        const std::uint64_t w = value[e.fanins[static_cast<std::size_t>(p)]];
-        term &= ((m >> p) & 1u) ? w : ~w;
+      for (std::uint32_t pos = c.pos(); pos != 0; pos &= pos - 1) {
+        term &= values[fanins[std::countr_zero(pos)]];
+      }
+      for (std::uint32_t neg = c.neg(); neg != 0; neg &= neg - 1) {
+        term &= ~values[fanins[std::countr_zero(neg)]];
       }
       out |= term;
     }
-    value[id] = out;
+    values[id] = out;
   }
-  return value;
 }
 
 void MappedNetlist::CheckInvariants() const {

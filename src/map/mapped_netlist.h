@@ -65,9 +65,13 @@ class MappedNetlist {
   std::size_t NumLogicGates() const;
 
   // 64-way bit-parallel evaluation: one word per primary input, returns one
-  // word per element (indexable by GateId).
+  // word per element (indexable by GateId). Each gate is the OR over its
+  // cell's Cover() cubes of the ANDed pin words. The second form writes into
+  // `values` (resized to NumElements) so hot loops can reuse one buffer.
   std::vector<std::uint64_t> EvalParallel(
       const std::vector<std::uint64_t>& input_words) const;
+  void EvalParallel(const std::vector<std::uint64_t>& input_words,
+                    std::vector<std::uint64_t>& values) const;
 
   void CheckInvariants() const;
 

@@ -4,7 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "boolean/isop.h"
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -25,10 +24,10 @@ std::string Ident(const std::string& name) {
   return out;
 }
 
+// The cell's Cover() as a sum of products over pins p0, p1, ...; tie cells
+// come out as 1'b0 (empty cover) and 1'b1 (universe cube).
 std::string VerilogExpr(const Cell& cell) {
-  if (cell.IsConstant()) return cell.function().Get(0) ? "1'b1" : "1'b0";
-  const Sop cover = Isop(cell.function(),
-                         TruthTable::Const0(cell.function().num_vars()));
+  const Sop& cover = cell.Cover();
   if (cover.IsConst0()) return "1'b0";
   std::string out;
   for (std::size_t i = 0; i < cover.NumCubes(); ++i) {

@@ -30,15 +30,6 @@ std::uint64_t TableMask(int k) {
   return (1ull << (1u << k)) - 1;
 }
 
-// Bits of a table over at most kMaxCutLeaves variables, as a word.
-std::uint64_t TableBits(const TruthTable& t) {
-  std::uint64_t bits = 0;
-  for (std::uint64_t m = 0; m < t.num_minterms_space(); ++m) {
-    if (t.Get(m)) bits |= 1ull << m;
-  }
-  return bits;
-}
-
 // Sorted leaf ids, held inline.
 struct Cut {
   int size = 0;
@@ -93,7 +84,7 @@ class MatchTable {
       std::vector<int> perm(static_cast<std::size_t>(k));
       std::iota(perm.begin(), perm.end(), 0);
       do {
-        auto& bucket = table_[k][TableBits(cell->function().Remap(perm, k))];
+        auto& bucket = table_[k][cell->function().Remap(perm, k).words()[0]];
         // One permutation per (cell, key) suffices: pin delays are
         // per-pin, so keep the first permutation found for each cell.
         const bool seen = std::any_of(

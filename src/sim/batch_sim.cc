@@ -7,13 +7,6 @@
 #include "util/check.h"
 
 namespace sm {
-namespace {
-
-// Mirrors the pin-count ceiling of TruthTable (kMaxTruthVars); the merge
-// keeps per-pin cursors in fixed stack arrays of this size.
-constexpr int kMaxPins = 24;
-
-}  // namespace
 
 void LanePatterns::Clear() {
   std::fill(previous.begin(), previous.end(), 0);
@@ -38,32 +31,23 @@ BatchEventSim::BatchEventSim(const MappedNetlist& net)
     : net_(net), fanouts_(net.Fanouts()), n_(net.NumElements()) {
   info_.resize(n_);
   std::size_t total_pins = 0;
-  std::size_t total_tt_words = 0;
   for (GateId id = 0; id < n_; ++id) {
-    if (net.IsInput(id)) continue;
-    const std::size_t pins = net.fanins(id).size();
-    total_pins += pins;
-    total_tt_words += ((1ull << pins) + 63) / 64;
+    if (!net.IsInput(id)) total_pins += net.fanins(id).size();
   }
-  pin_delay_flat_.reserve(total_pins);
-  pin_group_flat_.reserve(total_pins);
-  tt_flat_.reserve(total_tt_words);
+  // Sized once, so the per-gate pointers into it stay valid.
+  pin_group_flat_.resize(total_pins);
+  std::uint32_t* groups = pin_group_flat_.data();
   for (GateId id = 0; id < n_; ++id) {
     if (net.IsInput(id)) continue;
     const Cell& cell = net.cell(id);
     GateInfo& gi = info_[id];
-    gi.fn = &cell.function();
+    gi.tt = cell.function().words().data();
     gi.num_pins = cell.num_pins();
-    SM_REQUIRE(gi.num_pins <= kMaxPins,
-               "cell " << cell.name() << " has " << gi.num_pins
-                       << " pins, above the batched-sim ceiling of "
-                       << kMaxPins);
     const auto& fin = net.fanins(id);
     gi.fanins = fin.data();
-    gi.pin_delays = pin_delay_flat_.data() + pin_delay_flat_.size();
-    gi.pin_groups = pin_group_flat_.data() + pin_group_flat_.size();
+    gi.pin_delays = cell.pin_delays().data();
+    gi.pin_groups = groups;
     for (int p = 0; p < gi.num_pins; ++p) {
-      pin_delay_flat_.push_back(cell.pin_delay(p));
       std::uint32_t group = 0;
       for (int q = 0; q < gi.num_pins; ++q) {
         if (fin[static_cast<std::size_t>(q)] ==
@@ -71,25 +55,10 @@ BatchEventSim::BatchEventSim(const MappedNetlist& net)
           group |= 1u << q;
         }
       }
-      pin_group_flat_.push_back(group);
+      *groups++ = group;
       if ((group & ((1u << p) - 1)) != 0) gi.dup_pin_mask |= 1u << p;
     }
-    gi.tt = tt_flat_.data() + tt_flat_.size();
-    const std::uint64_t minterms = 1ull << gi.num_pins;
-    for (std::uint64_t w = 0; w < (minterms + 63) / 64; ++w) {
-      std::uint64_t word = 0;
-      for (std::uint64_t b = 0; b < 64 && w * 64 + b < minterms; ++b) {
-        if (gi.fn->Get(w * 64 + b)) word |= 1ull << b;
-      }
-      tt_flat_.push_back(word);
-    }
   }
-  // reserve() sized the buffers exactly, so the .data() snapshots above are
-  // stable; guard against a cell growing pins between the two passes.
-  SM_CHECK(pin_delay_flat_.size() == total_pins &&
-               pin_group_flat_.size() == total_pins &&
-               tt_flat_.size() == total_tt_words,
-           "constructor cache sizes drifted during construction");
 
   result_.sampled.resize(n_);
   result_.settled.resize(n_);
@@ -103,37 +72,6 @@ BatchEventSim::BatchEventSim(const MappedNetlist& net)
   override_lanes_.assign(n_, 0);
   tr_begin_.resize(n_ * static_cast<std::size_t>(kBatchLanes));
   tr_count_.resize(n_ * static_cast<std::size_t>(kBatchLanes));
-}
-
-// Word-parallel zero-delay settling into a preallocated buffer — the same
-// minterm expansion as MappedNetlist::EvalParallel, reading the
-// constructor-cached gate info.
-void BatchEventSim::EvalInto(const std::uint64_t* inputs,
-                             std::vector<std::uint64_t>& out) {
-  std::size_t next_input = 0;
-  for (GateId id = 0; id < n_; ++id) {
-    const GateInfo& gi = info_[id];
-    if (gi.fn == nullptr) {
-      out[id] = inputs[next_input++];
-      continue;
-    }
-    if (gi.num_pins == 0) {
-      out[id] = gi.fn->Get(0) ? ~0ull : 0ull;
-      continue;
-    }
-    const std::uint64_t minterms = 1ull << gi.num_pins;
-    std::uint64_t word = 0;
-    for (std::uint64_t m = 0; m < minterms; ++m) {
-      if (((gi.tt[m >> 6] >> (m & 63)) & 1u) == 0) continue;
-      std::uint64_t term = ~0ull;
-      for (int p = 0; p < gi.num_pins && term != 0; ++p) {
-        const std::uint64_t w = out[gi.fanins[p]];
-        term &= ((m >> p) & 1u) ? w : ~w;
-      }
-      word |= term;
-    }
-    out[id] = word;
-  }
 }
 
 const BatchEventSimResult& BatchEventSim::Run(
@@ -230,8 +168,8 @@ const BatchEventSimResult& BatchEventSim::Run(
   result_.lane_mask = lane_mask;
   result_.lane_events.fill(0);
 
-  EvalInto(previous.data(), steady_prev_);
-  EvalInto(next.data(), steady_next_);
+  net_.EvalParallel(previous, steady_prev_);
+  net_.EvalParallel(next, steady_next_);
   std::copy(steady_prev_.begin(), steady_prev_.end(),
             result_.settled.begin());
   std::copy(steady_prev_.begin(), steady_prev_.end(),
@@ -245,7 +183,7 @@ const BatchEventSimResult& BatchEventSim::Run(
   std::size_t next_input = 0;
   for (GateId id = 0; id < n_; ++id) {
     const GateInfo& gi = info_[id];
-    if (gi.fn == nullptr) {
+    if (gi.tt == nullptr) {
       const std::uint64_t nv = next[next_input];
       const std::uint64_t diff =
           (previous[next_input] ^ nv) & lane_mask;
@@ -548,11 +486,11 @@ void BatchEventSim::ProcessGateLane(GateId g, const GateInfo& gi, int lane,
   // pin with pending fanin transitions, a merge stream (cursor + cached
   // next-transition time). Most dirty slots see exactly one stream with one
   // or two transitions, so everything below is sized for tiny `na`.
-  int act[kMaxPins];            // pin index of each active stream
-  std::uint32_t abase[kMaxPins];
-  std::uint32_t acnt[kMaxPins];
-  std::uint32_t acur[kMaxPins];
-  double atime[kMaxPins];       // next transition time, cached from arena
+  int act[kMaxCellPins];            // pin index of each active stream
+  std::uint32_t abase[kMaxCellPins];
+  std::uint32_t acnt[kMaxCellPins];
+  std::uint32_t acur[kMaxCellPins];
+  double atime[kMaxCellPins];       // next transition time, cached from arena
   int na = 0;
   std::uint64_t m = 0;
   for (int p = 0; p < k; ++p) {

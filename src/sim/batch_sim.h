@@ -143,9 +143,10 @@ struct BatchTelemetry {
 };
 
 // Reusable batched simulator for one netlist. Not thread-safe; give each
-// worker its own instance. The netlist must outlive the engine and stay
-// structurally unchanged (the constructor snapshots fanins, pin delays and
-// the fanout lists).
+// worker its own instance. The netlist and its library must outlive the
+// engine, and the netlist must stay structurally unchanged (the constructor
+// keeps pointers to fanins, cell tables and pin delays, and the fanout
+// lists).
 class BatchEventSim {
  public:
   explicit BatchEventSim(const MappedNetlist& net);
@@ -165,13 +166,13 @@ class BatchEventSim {
   // Constructor-cached per-element data: one indirection per hot-loop access
   // instead of element()/cell() bounds-checked chains.
   struct GateInfo {
-    const TruthTable* fn = nullptr;  // nullptr for primary inputs
-    const GateId* fanins = nullptr;
-    const double* pin_delays = nullptr;
-    // Truth table flattened to raw words (bit m = fn->Get(m)) so the merge
-    // reads function values with one inline shift instead of an out-of-line
-    // bounds-checked call — the single hottest lookup of the engine.
+    // The cell's own truth-table words (TruthTable::words(), bit m = value
+    // at minterm m), so the merge reads function values with one inline
+    // shift — the single hottest lookup of the engine. nullptr for primary
+    // inputs.
     const std::uint64_t* tt = nullptr;
+    const GateId* fanins = nullptr;
+    const double* pin_delays = nullptr;  // the cell's own delay list
     // pin_groups[p]: bit mask over pins that share pin p's fanin (always
     // includes p itself) — one minterm update and one scheduling sweep per
     // merged trigger instead of a scan over all pins.
@@ -190,16 +191,13 @@ class BatchEventSim {
     std::uint64_t seen;
   };
 
-  void EvalInto(const std::uint64_t* inputs, std::vector<std::uint64_t>& out);
   void ProcessGateLane(GateId g, const GateInfo& gi, int lane, double clock);
 
   const MappedNetlist& net_;
   const std::vector<std::vector<GateId>>& fanouts_;
   std::size_t n_ = 0;
   std::vector<GateInfo> info_;
-  std::vector<double> pin_delay_flat_;
   std::vector<std::uint32_t> pin_group_flat_;
-  std::vector<std::uint64_t> tt_flat_;
   BatchEventSimResult result_;
   std::vector<std::uint64_t> steady_prev_;
   std::vector<std::uint64_t> steady_next_;

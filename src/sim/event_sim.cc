@@ -140,8 +140,12 @@ EventSimResult SimulateTransition(const MappedNetlist& net,
     r.settle_at[e.gate] = e.time;
     if (e.time <= config.clock) at_clock[e.gate] = e.value;
     // Propagate to fanouts: re-evaluate each consuming gate and schedule the
-    // output change through the pin that observed this transition.
-    for (GateId g : fanouts[e.gate]) {
+    // output change through every pin that observed this transition. A gate
+    // fed on several pins is listed once per pin, adjacently; visit it once.
+    const auto& fanout = fanouts[e.gate];
+    for (std::size_t i = 0; i < fanout.size(); ++i) {
+      const GateId g = fanout[i];
+      if (i > 0 && fanout[i - 1] == g) continue;
       const Cell& cell = net.cell(g);
       const auto& fin = net.fanins(g);
       const bool nv = EvalCell(cell, value, fin);

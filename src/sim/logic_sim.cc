@@ -6,52 +6,6 @@
 
 namespace sm {
 
-std::vector<std::uint64_t> RandomInputWords(std::size_t num_inputs, Rng& rng) {
-  std::vector<std::uint64_t> words(num_inputs);
-  for (auto& w : words) w = rng.Next();
-  return words;
-}
-
-void SteadyStateParallelInto(const MappedNetlist& net,
-                             const std::vector<std::uint64_t>& pattern_words,
-                             std::vector<std::uint64_t>& out) {
-  SM_REQUIRE(pattern_words.size() == net.NumInputs(),
-             "SteadyStateParallel needs one word per primary input");
-  out.resize(net.NumElements());
-  std::size_t next_input = 0;
-  for (GateId id = 0; id < net.NumElements(); ++id) {
-    if (net.IsInput(id)) {
-      out[id] = pattern_words[next_input++];
-      continue;
-    }
-    const Cell& cell = net.cell(id);
-    if (cell.IsConstant()) {
-      out[id] = cell.function().Get(0) ? ~0ull : 0ull;
-      continue;
-    }
-    const TruthTable& f = cell.function();
-    const auto& fanins = net.fanins(id);
-    std::uint64_t word = 0;
-    for (std::uint64_t m = 0; m < f.num_minterms_space(); ++m) {
-      if (!f.Get(m)) continue;
-      std::uint64_t term = ~0ull;
-      for (int p = 0; p < f.num_vars() && term != 0; ++p) {
-        const std::uint64_t w = out[fanins[static_cast<std::size_t>(p)]];
-        term &= ((m >> p) & 1u) ? w : ~w;
-      }
-      word |= term;
-    }
-    out[id] = word;
-  }
-}
-
-std::vector<std::uint64_t> SteadyStateParallel(
-    const MappedNetlist& net, const std::vector<std::uint64_t>& pattern_words) {
-  std::vector<std::uint64_t> out;
-  SteadyStateParallelInto(net, pattern_words, out);
-  return out;
-}
-
 std::vector<std::uint64_t> EvalNetworkParallel(
     const Network& net, const std::vector<std::uint64_t>& input_words) {
   SM_REQUIRE(input_words.size() == net.NumInputs(),
@@ -84,9 +38,11 @@ ActivityEstimate EstimateActivity(const MappedNetlist& net, Rng& rng,
   std::vector<std::uint64_t> last_bit(net.NumElements(), 0);
   bool have_last = false;
 
+  std::vector<std::uint64_t> inputs(net.NumInputs());
+  std::vector<std::uint64_t> values;
   for (int w = 0; w < num_words; ++w) {
-    const auto inputs = RandomInputWords(net.NumInputs(), rng);
-    const auto values = net.EvalParallel(inputs);
+    for (auto& word : inputs) word = rng.Next();
+    net.EvalParallel(inputs, values);
     for (GateId id = 0; id < net.NumElements(); ++id) {
       const std::uint64_t v = values[id];
       ones[id] += static_cast<std::uint64_t>(std::popcount(v));

@@ -13,16 +13,17 @@
 #include "harness/flow.h"
 #include "harness/inject.h"
 #include "harness/yield.h"
+#include "liblib/library.h"
 #include "liblib/lsi10k.h"
 #include "map/tech_map.h"
 #include "sim/batch_sim.h"
 #include "sim/event_sim.h"
-#include "sim/logic_sim.h"
 #include "sta/sta.h"
 #include "suite/circuit_gen.h"
 #include "suite/paper_suite.h"
 #include "suite/structured.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -199,6 +200,79 @@ TEST(BatchSim, FuzzDifferentialMatchesScalar) {
   EXPECT_GT(total_timing_errors, 0);
 }
 
+// A random DAG over a parsed library whose 7-pin cell has a two-word truth
+// table and a distinct delay per pin. Fanins may repeat, so the merge's
+// duplicate-pin path runs on the wide cell too, and transient faults count
+// the edges such gates schedule.
+TEST(BatchSim, WideCellDifferentialMatchesScalar) {
+  Rng fn_rng(7);
+  std::string bits;
+  for (int m = 0; m < 128; ++m) bits += fn_rng.Chance(0.5) ? '1' : '0';
+  const Library lib = ParseLibrary("wide", R"(
+cell INV   area=1 energy=0.7 delays=1 func=10
+cell NAND2 area=2 energy=1.4 delays=1.4,1.1 func=1110
+cell XOR2  area=5 energy=3.5 delays=2.6,2.2 func=0110
+cell W7    area=6 energy=4 delays=1,1.25,1.5,1.75,2,2.25,2.5 func=)" +
+                                               bits + "\n");
+  const Cell* w7 = lib.ByNameOrThrow("W7");
+  const std::vector<const Cell*> cells = lib.AllCells();
+
+  MappedNetlist net("wide_dag");
+  for (int i = 0; i < 10; ++i) net.AddInput(IndexedName("i", i));
+  Rng dag_rng(77);
+  for (int g = 0; g < 60; ++g) {
+    const Cell* cell = g % 3 == 0 ? w7 : cells[dag_rng.Below(cells.size())];
+    std::vector<GateId> fanins;
+    for (int p = 0; p < cell->num_pins(); ++p) {
+      fanins.push_back(static_cast<GateId>(dag_rng.Below(net.NumElements())));
+    }
+    net.AddGate(cell, std::move(fanins));
+  }
+  for (GateId id = static_cast<GateId>(net.NumElements()) - 6;
+       id < net.NumElements(); ++id) {
+    net.AddOutput(IndexedName("o", id), id);
+  }
+
+  const std::size_t n = net.NumElements();
+  BatchEventSim engine(net);
+  BatchEventSimConfig cfg;
+  cfg.clock = 0.6 * AnalyzeTiming(net).critical_delay;
+  std::vector<std::vector<double>> scale_store(kBatchLanes);
+  Rng rng = Rng::ForStream(0x3170, 0);
+  for (int l = 0; l < kBatchLanes; ++l) {
+    auto& plane = scale_store[static_cast<std::size_t>(l)];
+    plane.resize(n);
+    for (double& s : plane) s = 0.5 + rng.Uniform();
+    cfg.delay_scale[static_cast<std::size_t>(l)] = plane.data();
+  }
+  int timing_errors = 0;
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::uint64_t> prev(net.NumInputs());
+    std::vector<std::uint64_t> next(net.NumInputs());
+    for (auto& w : prev) w = rng.Next();
+    for (auto& w : next) w = rng.Next();
+    cfg.transient_faults.clear();
+    for (int l = 0; l < kBatchLanes; ++l) {
+      if (rng.Chance(0.5)) {
+        cfg.transient_faults.push_back(BatchTransientFault{
+            l, static_cast<GateId>(10 + rng.Below(60)), rng.Below(3),
+            3.0 * rng.Uniform()});
+      }
+    }
+    const BatchEventSimResult& batch = engine.Run(prev, next, cfg);
+    for (int l = 0; l < kBatchLanes; ++l) {
+      const EventSimResult scalar = SimulateTransition(
+          net, LanePattern(prev, l), LanePattern(next, l),
+          ScalarConfigForLane(cfg, n, l));
+      ExpectLaneMatchesScalar(net, batch, scalar, l);
+      for (const auto& o : net.outputs()) {
+        if (scalar.TimingErrorAt(o.driver)) ++timing_errors;
+      }
+    }
+  }
+  EXPECT_GT(timing_errors, 0);
+}
+
 TEST(BatchSim, TransientFaultIsConfinedToItsLane) {
   const Library lib = Lsi10kLike();
   MappedNetlist net("chain");
@@ -268,13 +342,14 @@ TEST(BatchSim, ValidatesConfig) {
   EXPECT_THROW(engine.Run(w, w, cfg), std::invalid_argument);
 }
 
-TEST(LogicSim, SteadyStateParallelMatchesScalar) {
+TEST(MappedNetlist, EvalParallelMatchesScalarSteadyState) {
   const Library lib = Lsi10kLike();
   const MappedNetlist net =
       MakeFuzzNetlist(CircuitSpec::Profile::kDenseControl, 5, lib);
   Rng rng = Rng::ForStream(99, 0);
-  const auto words = RandomInputWords(net.NumInputs(), rng);
-  const auto batch = SteadyStateParallel(net, words);
+  std::vector<std::uint64_t> words(net.NumInputs());
+  for (auto& w : words) w = rng.Next();
+  const auto batch = net.EvalParallel(words);
   ASSERT_EQ(batch.size(), net.NumElements());
   for (int lane = 0; lane < 64; lane += 13) {
     const auto scalar = SteadyState(net, LanePattern(words, lane));

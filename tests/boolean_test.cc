@@ -4,7 +4,6 @@
 #include "boolean/isop.h"
 #include "boolean/sop.h"
 #include "boolean/truth_table.h"
-#include "boolean/two_level.h"
 #include "util/rng.h"
 
 namespace sm {
@@ -332,67 +331,6 @@ TEST(AllPrimes, EveryPrimeIsMaximal) {
 TEST(AllPrimes, ConstantCases) {
   EXPECT_TRUE(AllPrimes(TruthTable::Const0(3)).IsConst0());
   EXPECT_TRUE(AllPrimes(TruthTable::Const1(3)).IsConst1());
-}
-
-// ------------------------------------------------------------- Two-level
-
-class TwoLevelRandomTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(TwoLevelRandomTest, PreservesBoundsAndShrinks) {
-  const int n = GetParam();
-  Rng rng(3000 + static_cast<std::uint64_t>(n));
-  for (int iter = 0; iter < 30; ++iter) {
-    TruthTable on(n);
-    TruthTable dc(n);
-    for (std::uint64_t m = 0; m < on.num_minterms_space(); ++m) {
-      const double u = rng.Uniform();
-      if (u < 0.35) {
-        on.Set(m, true);
-      } else if (u < 0.55) {
-        dc.Set(m, true);
-      }
-    }
-    const Sop initial = Isop(on, TruthTable::Const0(n));  // ignores dc
-    const Sop minimized = MinimizeTwoLevel(initial, on, dc);
-    const TruthTable result = minimized.ToTruthTable();
-    EXPECT_TRUE((on & ~dc).Implies(result));
-    EXPECT_TRUE(result.Implies(on | dc));
-    EXPECT_LE(minimized.NumCubes(), initial.NumCubes());
-    EXPECT_LE(minimized.NumLiterals(), initial.NumLiterals());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, TwoLevelRandomTest,
-                         ::testing::Values(2, 3, 4, 5, 6, 8));
-
-TEST(TwoLevel, UsesDontCaresToSimplify) {
-  // on = ab, dc = ab' — minimal result is the single literal a.
-  const TruthTable a = TruthTable::Var(0, 2);
-  const TruthTable b = TruthTable::Var(1, 2);
-  const Sop minimized = MinimizeTwoLevel(
-      Isop(a & b, TruthTable::Const0(2)), a & b, a & ~b);
-  EXPECT_EQ(minimized.NumCubes(), 1u);
-  EXPECT_EQ(minimized.NumLiterals(), 1);
-  EXPECT_EQ(minimized.ToTruthTable(), a);
-}
-
-TEST(TwoLevel, MinimizeFunctionIsExactOnSmallKnownCase) {
-  // Majority of three: minimal SOP has 3 cubes of 2 literals.
-  const TruthTable a = TruthTable::Var(0, 3);
-  const TruthTable b = TruthTable::Var(1, 3);
-  const TruthTable c = TruthTable::Var(2, 3);
-  const TruthTable maj = (a & b) | (a & c) | (b & c);
-  const Sop m = MinimizeFunction(maj);
-  EXPECT_EQ(m.NumCubes(), 3u);
-  EXPECT_EQ(m.NumLiterals(), 6);
-  EXPECT_EQ(m.ToTruthTable(), maj);
-}
-
-TEST(TwoLevel, RejectsCoverOutsideBounds) {
-  const TruthTable a = TruthTable::Var(0, 2);
-  const Sop wrong = Sop::Const1(2);
-  EXPECT_THROW(MinimizeTwoLevel(wrong, a, TruthTable::Const0(2)),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Deterministic mutational fuzzing of the three input parsers: SM1F frames
-// (service/framing.h), JSON (service/json.h) and BLIF (network/blif.h).
+// Deterministic mutational fuzzing of the input parsers: SM1F frames
+// (service/framing.h), JSON (service/json.h), BLIF (network/blif.h) and the
+// cell-library text format (liblib/library.h).
 //
 // No libFuzzer: a seeded corpus of valid inputs is expanded into thousands
 // of mutants — truncations, bit flips, byte insertions/deletions, and
@@ -16,6 +17,7 @@
 #include <typeinfo>
 #include <vector>
 
+#include "liblib/library.h"
 #include "network/blif.h"
 #include "service/framing.h"
 #include "service/json.h"
@@ -190,6 +192,34 @@ TEST(FuzzBlif, MutatedNetlistsNeverCrash) {
       (void)ReadBlifString(m);
     } catch (const ParseError&) {
     } catch (const std::invalid_argument&) {  // SM_REQUIRE preconditions
+    }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Cell-library parser (custom libraries are user input)
+// ---------------------------------------------------------------------------
+
+TEST(FuzzLibrary, MutatedLibrariesNeverCrash) {
+  std::vector<std::string> corpus;
+  corpus.push_back(
+      "# tiny library\n"
+      "cell INV  area=1 energy=0.7 delays=1 func=10\n"
+      "cell ND2  area=2 energy=1.4 delays=1.4,1.4 func=1110\n"
+      "cell TIE1 area=1 energy=0 delays=none func=1\n");
+  corpus.push_back(
+      "cell AOI21 area=3 energy=2.1 delays=2,2,1.5 func=11100000\n"
+      "cell MUX2 area=5 energy=3.5 delays=2.4,2.4,2.4 func=00100111\n");
+  corpus.push_back(
+      "cell W7 area=6 energy=4 delays=1,1,1,1,1,1,1 func=" +
+      std::string(64, '0') + std::string(63, '1') + "0\n");
+  corpus.push_back("cell TIE0 area=1 energy=0 delays=none func=0\n");
+
+  FuzzRounds(corpus, /*seed=*/505, /*rounds=*/3000, [](const std::string& m) {
+    try {
+      (void)ParseLibrary("fuzz", m);
+    } catch (const ParseError&) {
+    } catch (const std::invalid_argument&) {  // Cell / Library preconditions
     }
   });
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,10 +20,30 @@ TEST(Cell, ValidatesConstruction) {
                std::invalid_argument);  // delay count mismatch
   EXPECT_THROW(Cell("X", TruthTable::Var(0, 1), 1, {0.0}, 1),
                std::invalid_argument);  // non-positive delay
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Cell("X", TruthTable::Var(0, 1), 1, {inf}, 1),
+               std::invalid_argument);  // infinite delay
+  EXPECT_THROW(Cell("X", TruthTable::Var(0, 1), inf, {1}, 1),
+               std::invalid_argument);  // infinite area
   EXPECT_THROW(Cell("X", TruthTable::Const1(2), 1, {1, 1}, 1),
                std::invalid_argument);  // constant with pins
   EXPECT_THROW(Cell("X", TruthTable::Var(0, 2), 1, {1, 1}, 1),
                std::invalid_argument);  // vacuous pin 1
+}
+
+TEST(Cell, RejectsMoreThanMaxPins) {
+  const int pins = kMaxCellPins + 1;
+  TruthTable parity(pins);
+  for (std::uint64_t m = 0; m < parity.num_minterms_space(); ++m) {
+    parity.Set(m, std::popcount(m) % 2 == 1);
+  }
+  try {
+    Cell("WIDE", parity, 1, std::vector<double>(pins, 1.0), 1);
+    FAIL() << "an " << pins << "-pin cell was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("WIDE"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Cell, Classification) {
@@ -135,6 +158,29 @@ TEST(ParseLibrary, Errors) {
                ParseError);  // bad number
   EXPECT_THROW(ParseLibrary("b", "cell X energy=1 delays=1 func=10"),
                ParseError);  // missing area
+  EXPECT_THROW(
+      ParseLibrary("b", "cell X area=1e999 energy=1 delays=1 func=10"),
+      ParseError);  // number out of range
+}
+
+// A delay list longer than kMaxCellPins is a parse error, raised before the
+// 2^pins width check (at 64 pins and above that shift is undefined). The
+// 11-pin line carries a full-width parity table, so only the pin count is
+// wrong with it.
+TEST(ParseLibrary, RejectsMoreThanMaxPins) {
+  std::string parity11;
+  for (std::uint64_t m = 0; m < (1u << (kMaxCellPins + 1)); ++m) {
+    parity11 += std::popcount(m) % 2 == 1 ? '1' : '0';
+  }
+  for (const int pins : {kMaxCellPins + 1, 64, 65}) {
+    std::string delays = "1";
+    for (int p = 1; p < pins; ++p) delays += ",1";
+    const std::string func = pins == kMaxCellPins + 1 ? parity11 : "01";
+    EXPECT_THROW(ParseLibrary("b", "cell X area=1 energy=1 delays=" + delays +
+                                       " func=" + func),
+                 ParseError)
+        << pins << " pins";
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "harness/flow.h"
+#include "liblib/library.h"
 #include "liblib/lsi10k.h"
 #include "map/mapped_bdd.h"
 #include "map/mapped_netlist.h"
@@ -18,6 +21,7 @@
 #include "suite/paper_suite.h"
 #include "util/hash.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "util/strings.h"
 
 namespace sm {
@@ -78,6 +82,67 @@ TEST(MappedNetlist, EvalParallelMatchesComparatorSemantics) {
         static_cast<unsigned>(((m >> 2) & 1) | ((m >> 3) & 1) << 1);
     EXPECT_EQ((y >> m) & 1, (a >= b) ? 1u : 0u) << "a=" << a << " b=" << b;
   }
+}
+
+// Library-format line for a `pins`-pin cell with a seeded random function
+// and a distinct delay on every pin.
+std::string RandomCellLine(const std::string& name, int pins,
+                           std::uint64_t seed) {
+  Rng rng(seed);
+  std::string delays;
+  for (int p = 0; p < pins; ++p) {
+    if (p > 0) delays += ',';
+    delays += std::to_string(1.0 + 0.25 * p);
+  }
+  std::string bits;
+  for (std::uint64_t m = 0; m < (1ull << pins); ++m) {
+    bits += rng.Chance(0.5) ? '1' : '0';
+  }
+  return "cell " + name + " area=4 energy=2 delays=" + delays +
+         " func=" + bits + "\n";
+}
+
+// Every built-in cell, plus parsed 7- and 10-pin cells whose tables span
+// several words, evaluated through a one-gate netlist over its whole
+// minterm space.
+TEST(MappedNetlist, EvalParallelMatchesCellTablesExhaustively) {
+  const Library libs[] = {
+      Lsi10kLike(), UnitLibrary(),
+      ParseLibrary("wide", RandomCellLine("W7", 7, 7) +
+                               RandomCellLine("W10", 10, 10))};
+  int wide_cells = 0;
+  for (const Library& lib : libs) {
+    for (const Cell* cell : lib.AllCells()) {
+      const int k = cell->num_pins();
+      if (k > 6) ++wide_cells;
+      MappedNetlist net(cell->name());
+      std::vector<GateId> pins;
+      for (int p = 0; p < k; ++p) {
+        pins.push_back(net.AddInput(IndexedName("x", p)));
+      }
+      const GateId g = net.AddGate(cell, pins);
+      const std::uint64_t minterms = cell->function().num_minterms_space();
+      std::vector<std::uint64_t> words(pins.size());
+      std::vector<std::uint64_t> values;
+      for (std::uint64_t base = 0; base < minterms; base += 64) {
+        for (int p = 0; p < k; ++p) {
+          std::uint64_t w = 0;
+          for (std::uint64_t l = 0; l < 64; ++l) {
+            w |= (((base + l) >> p) & 1u) << l;
+          }
+          words[static_cast<std::size_t>(p)] = w;
+        }
+        net.EvalParallel(words, values);
+        ASSERT_EQ(net.EvalParallel(words), values) << cell->name();
+        for (std::uint64_t l = 0; l < 64 && base + l < minterms; ++l) {
+          ASSERT_EQ((values[g] >> l) & 1u,
+                    cell->function().Get(base + l) ? 1u : 0u)
+              << cell->name() << " minterm " << base + l;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(wide_cells, 2);
 }
 
 TEST(MappedNetlist, RejectsMalformedConstruction) {

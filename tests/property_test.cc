@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "boolean/isop.h"
-#include "boolean/two_level.h"
 #include "liblib/lsi10k.h"
 #include "map/tech_map.h"
 #include "network/eliminate.h"
@@ -55,25 +54,6 @@ TEST_P(SmallCircuitTest, PathEnumerationAgreesWithCounting) {
 INSTANTIATE_TEST_SUITE_P(Circuits, SmallCircuitTest,
                          ::testing::Values("i1", "cmb", "x2", "cu", "frg1",
                                            "C432", "alu2"));
-
-TEST(Property, TwoLevelMinimizationIsStable) {
-  Rng rng(12321);
-  for (int iter = 0; iter < 40; ++iter) {
-    const int n = 3 + static_cast<int>(rng.Below(5));
-    TruthTable f(n);
-    for (std::uint64_t m = 0; m < f.num_minterms_space(); ++m) {
-      f.Set(m, rng.Chance(0.5));
-    }
-    const Sop once = MinimizeFunction(f);
-    EXPECT_EQ(once.ToTruthTable(), f);
-    // Re-minimizing the already-minimized cover must not grow it.
-    const Sop twice =
-        MinimizeTwoLevel(once, f, TruthTable::Const0(n));
-    EXPECT_LE(twice.NumCubes(), once.NumCubes());
-    EXPECT_LE(twice.NumLiterals(), once.NumLiterals());
-    EXPECT_EQ(twice.ToTruthTable(), f);
-  }
-}
 
 TEST(Property, SopFromTruthTableIsIrredundant) {
   Rng rng(777);

@@ -206,6 +206,21 @@ TEST(EventSim, TransientFaultDelaysExactlyOneEdge) {
   EXPECT_FALSE(missed.TimingErrorAt(inv2));
 }
 
+// A fanin wired to two pins of one gate schedules one output edge per pin:
+// the gate appears twice in the fanin's fanout list, but each edge must be
+// scheduled once (as BatchEventSim's pin groups do), not once per listing.
+TEST(EventSim, DuplicateFaninSchedulesOneEdgePerPin) {
+  const Library lib = UnitLibrary();
+  MappedNetlist net("dup");
+  const GateId a = net.AddInput("a");
+  const GateId g = net.AddGate(lib.ByNameOrThrow("AND2"), {a, a}, "g");
+  net.AddOutput("y", g);
+  const EventSimResult r = SimulateTransition(net, {false}, {true}, {});
+  EXPECT_EQ(r.events, 3u);  // the input edge plus one edge per pin
+  EXPECT_DOUBLE_EQ(r.settle_at[g], 2.0);
+  EXPECT_TRUE(r.settled[g]);
+}
+
 TEST(EventSim, SettleTimesRespectStaBounds) {
   const Library lib = UnitLibrary();
   const MappedNetlist net = PaperComparator(lib);
